@@ -7,7 +7,7 @@ use crate::args::{
 use crate::{CliError, USAGE};
 use falcc::{
     auto_tune, sibling_artifact_path, CheckpointSpec, CompiledModel, CompiledModelBuf,
-    FairClassifier, FalccConfig, FalccModel, SavedFalccModel,
+    FairClassifier, FalccConfig, FalccError, FalccModel, SavedFalccModel,
 };
 use falcc_dataset::{csv, Dataset, SplitRatios, ThreeWaySplit};
 use falcc_metrics::individual::consistency;
@@ -599,7 +599,7 @@ fn predict(args: PredictArgs) -> Result<String, CliError> {
     // version skew, stale fingerprint — falls back to the JSON path with
     // the reason surfaced as progress and counted in telemetry.
     if !args.no_compile && !args.no_artifact {
-        if let Some(mut compiled) = load_artifact_for(&args.model) {
+        if let Some(Ok(mut compiled)) = load_artifact_for(&args.model) {
             compiled.set_threads(args.threads);
             let sensitive = sensitive_decl(compiled.schema());
             let data = load_dataset(&args.data, &as_refs(&sensitive))?;
@@ -624,31 +624,27 @@ fn predict(args: PredictArgs) -> Result<String, CliError> {
 
 /// Tries the binary-artifact fast path for the snapshot at `model_path`:
 /// a sibling `.falccb` whose recorded fingerprint matches the snapshot's
-/// current on-disk bytes. Returns `None` (after counting the fallback)
-/// when there is no usable artifact.
-fn load_artifact_for(model_path: &str) -> Option<CompiledModel> {
+/// current on-disk bytes. Returns `None` when there is no artifact to
+/// try, and the typed rejection (after counting the fallback) when the
+/// artifact is unusable.
+fn load_artifact_for(model_path: &str) -> Option<Result<CompiledModel, FalccError>> {
     let path = sibling_artifact_path(std::path::Path::new(model_path));
     if !path.exists() {
         return None;
     }
-    let fingerprint = match std::fs::read(model_path) {
-        Ok(bytes) => falcc::io::fnv1a64(&bytes),
-        // Unreadable snapshot: let the JSON path report the I/O error.
-        Err(_) => return None,
-    };
-    match CompiledModelBuf::read(&path).and_then(|buf| buf.load_if_fresh(fingerprint)) {
-        Ok(compiled) => {
-            falcc_telemetry::progress("serving from binary artifact");
-            Some(compiled)
-        }
+    // Unreadable snapshot: let the JSON path report the I/O error.
+    let fingerprint = falcc::io::fnv1a64(&std::fs::read(model_path).ok()?);
+    let loaded = CompiledModelBuf::read(&path).and_then(|buf| buf.load_if_fresh(fingerprint));
+    match &loaded {
+        Ok(_) => falcc_telemetry::progress("serving from binary artifact"),
         Err(e) => {
             falcc_telemetry::counters::SERVE_ARTIFACT_FALLBACKS.incr();
             falcc_telemetry::progress(format!(
                 "artifact unusable ({e}); falling back to JSON snapshot"
             ));
-            None
         }
     }
+    Some(loaded)
 }
 
 fn render_predictions(preds: Vec<u8>, out: &Option<String>) -> Result<String, CliError> {
@@ -767,6 +763,7 @@ fn as_refs(decl: &[(String, Vec<f64>)]) -> Vec<(&str, Vec<f64>)> {
 
 #[cfg(test)]
 mod tests {
+    use super::{load_artifact_for, FalccError};
     use crate::args;
 
     fn v(items: &[&str]) -> Vec<String> {
@@ -855,6 +852,8 @@ mod tests {
         assert_eq!(via_artifact.lines().count(), 151);
         assert_eq!(via_artifact, via_json, "artifact and JSON paths must agree");
         assert_eq!(via_artifact, interpreted, "compiled and interpreted must agree");
+        let served = load_artifact_for(&model_path);
+        assert!(matches!(served, Some(Ok(_))), "fresh artifact serves");
 
         // A corrupt artifact degrades to the JSON path, bit-identically.
         let pristine = std::fs::read(&artifact_path).unwrap();
@@ -862,20 +861,17 @@ mod tests {
         let mid = damaged.len() / 2;
         damaged[mid] ^= 0xff;
         std::fs::write(&artifact_path, &damaged).unwrap();
-        let fallbacks_before =
-            falcc_telemetry::counters::SERVE_ARTIFACT_FALLBACKS.get();
         let after_damage = crate::run(&v(&[
             "predict", "--model", &model_path, "--data", &data_csv,
         ]))
         .unwrap();
         assert_eq!(after_damage, via_json);
-        if falcc_telemetry::enabled() {
-            assert_eq!(
-                falcc_telemetry::counters::SERVE_ARTIFACT_FALLBACKS.get(),
-                fallbacks_before + 1,
-                "corrupt-artifact fallback must be counted"
-            );
-        }
+        let rejected = load_artifact_for(&model_path);
+        assert!(
+            matches!(rejected, Some(Err(FalccError::ArtifactCorrupt { .. }))),
+            "corrupt artifact must be rejected as corrupt: {:?}",
+            rejected.map(|r| r.err())
+        );
 
         // A stale artifact (snapshot refitted underneath it) also degrades.
         std::fs::write(&artifact_path, &pristine).unwrap();
@@ -892,13 +888,12 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(stale, fresh_json, "stale artifact must serve the new snapshot");
-        if falcc_telemetry::enabled() {
-            assert_eq!(
-                falcc_telemetry::counters::SERVE_ARTIFACT_FALLBACKS.get(),
-                fallbacks_before + 2,
-                "stale-artifact fallback must be counted"
-            );
-        }
+        let rejected = load_artifact_for(&model_path);
+        assert!(
+            matches!(rejected, Some(Err(FalccError::ArtifactStale { .. }))),
+            "refitted snapshot must reject its old artifact as stale: {:?}",
+            rejected.map(|r| r.err())
+        );
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -7,9 +7,15 @@
 //! round trains a tree on the current sample weights, computes the weighted
 //! error `ε`, the stage weight `α = ½·ln((1−ε)/ε)`, and re-weights samples
 //! multiplicatively.
+//!
+//! Every round trains on the same rows and attributes with new weights
+//! only, so [`AdaBoost::fit`] sorts the rows once and boosts every round
+//! over that one `Presort`; [`AdaBoost::fit_naive`] refits each round
+//! with the re-sorting reference builder and yields a bit-identical
+//! ensemble.
 
 use crate::traits::Classifier;
-use crate::tree::{DecisionTree, TreeParams};
+use crate::tree::{DecisionTree, Presort, TreeParams};
 use falcc_dataset::{AttrId, Dataset};
 
 /// AdaBoost hyperparameters.
@@ -28,7 +34,7 @@ impl Default for AdaBoostParams {
 }
 
 /// A trained AdaBoost ensemble.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct AdaBoost {
     stages: Vec<(DecisionTree, f64)>,
     name: String,
@@ -51,6 +57,61 @@ impl AdaBoost {
         seed: u64,
     ) -> Self {
         assert!(!indices.is_empty(), "cannot boost on zero samples");
+        let presort = Presort::new(ds, attrs, indices);
+        Self::fit_presorted(&presort, initial_weights, params, seed)
+    }
+
+    /// [`Self::fit`] over a presort of the training rows, which the caller
+    /// may share with other ensembles fitted on the same rows.
+    /// `initial_weights`, when given, is parallel to the presort's rows.
+    ///
+    /// # Panics
+    /// Panics on mismatched weight length or zero rounds.
+    pub(crate) fn fit_presorted(
+        presort: &Presort<'_>,
+        initial_weights: Option<&[f64]>,
+        params: &AdaBoostParams,
+        seed: u64,
+    ) -> Self {
+        let fit_round = |w: &[f64], round_seed| {
+            DecisionTree::fit_presorted(presort, Some(w), &params.tree, round_seed)
+        };
+        let (ds, indices) = (presort.dataset(), presort.indices());
+        Self::boost(ds, indices, initial_weights, params, seed, fit_round)
+    }
+
+    /// Reference implementation of [`Self::fit`]: every round refits its
+    /// tree with [`DecisionTree::fit_naive`], which re-sorts at every
+    /// node. Kept for the equivalence proptests; produces a bit-identical
+    /// ensemble.
+    ///
+    /// # Panics
+    /// Same conditions as [`Self::fit`].
+    pub fn fit_naive(
+        ds: &Dataset,
+        attrs: &[AttrId],
+        indices: &[usize],
+        initial_weights: Option<&[f64]>,
+        params: &AdaBoostParams,
+        seed: u64,
+    ) -> Self {
+        assert!(!indices.is_empty(), "cannot boost on zero samples");
+        let fit_round = |w: &[f64], round_seed| {
+            DecisionTree::fit_naive(ds, attrs, indices, Some(w), &params.tree, round_seed)
+        };
+        Self::boost(ds, indices, initial_weights, params, seed, fit_round)
+    }
+
+    /// The boosting loop; `fit_round(weights, round_seed)` trains one
+    /// round's tree on the rows of `ds` in `indices`.
+    fn boost(
+        ds: &Dataset,
+        indices: &[usize],
+        initial_weights: Option<&[f64]>,
+        params: &AdaBoostParams,
+        seed: u64,
+        mut fit_round: impl FnMut(&[f64], u64) -> DecisionTree,
+    ) -> Self {
         assert!(params.n_estimators > 0, "need at least one boosting round");
         let n = indices.len();
         let mut w: Vec<f64> = match initial_weights {
@@ -65,8 +126,7 @@ impl AdaBoost {
 
         let mut stages = Vec::with_capacity(params.n_estimators);
         for round in 0..params.n_estimators {
-            let tree =
-                DecisionTree::fit(ds, attrs, indices, Some(&w), &params.tree, seed ^ round as u64);
+            let tree = fit_round(&w, seed ^ round as u64);
             let preds: Vec<u8> =
                 indices.iter().map(|&i| tree.predict_row(ds.row(i))).collect();
             let err: f64 = indices

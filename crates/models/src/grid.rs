@@ -8,7 +8,7 @@
 use crate::boost::{AdaBoost, AdaBoostParams};
 use crate::forest::{RandomForest, RandomForestParams};
 use crate::traits::Classifier;
-use crate::tree::{SplitCriterion, TreeParams};
+use crate::tree::{Presort, SplitCriterion, TreeParams};
 use falcc_dataset::{AttrId, Dataset};
 use std::sync::Arc;
 
@@ -44,24 +44,46 @@ impl GridPoint {
         indices: &[usize],
         seed: u64,
     ) -> Arc<dyn Classifier> {
-        let tree = TreeParams {
-            max_depth: self.max_depth,
-            criterion: self.criterion,
-            ..Default::default()
-        };
         match self.trainer {
             TrainerKind::AdaBoost => {
-                let params = AdaBoostParams { n_estimators: self.n_estimators, tree };
+                let params = self.boost_params();
                 Arc::new(AdaBoost::fit(ds, attrs, indices, None, &params, seed))
             }
             TrainerKind::RandomForest => {
                 let params = RandomForestParams {
                     n_estimators: self.n_estimators,
-                    tree,
+                    tree: self.tree_params(),
                     ..Default::default()
                 };
                 Arc::new(RandomForest::fit(ds, attrs, indices, &params, seed))
             }
+        }
+    }
+
+    /// [`Self::fit`] for an AdaBoost point over a presort of the training
+    /// rows that every AdaBoost point of a grid shares. Random-forest
+    /// points bootstrap their own rows per tree and take no presort.
+    ///
+    /// # Panics
+    /// Panics if this is not an AdaBoost point.
+    pub(crate) fn fit_presorted(&self, presort: &Presort<'_>, seed: u64) -> Arc<dyn Classifier> {
+        assert!(self.trainer == TrainerKind::AdaBoost, "presort is for boosting");
+        let params = self.boost_params();
+        Arc::new(AdaBoost::fit_presorted(presort, None, &params, seed))
+    }
+
+    fn tree_params(&self) -> TreeParams {
+        TreeParams {
+            max_depth: self.max_depth,
+            criterion: self.criterion,
+            ..Default::default()
+        }
+    }
+
+    fn boost_params(&self) -> AdaBoostParams {
+        AdaBoostParams {
+            n_estimators: self.n_estimators,
+            tree: self.tree_params(),
         }
     }
 }

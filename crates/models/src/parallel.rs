@@ -7,9 +7,11 @@
 //!
 //! * work items are mapped by *index* with [`parallel_map`] /
 //!   [`parallel_map_range`], and the per-item closure receives only the
-//!   item's index and data — nothing thread-local. Results are collected
-//!   per contiguous chunk and merged back in input order, so the output
-//!   `Vec` is identical whether the map ran on 1 thread or 16;
+//!   item's index and data — nothing thread-local. Workers claim blocks
+//!   of consecutive indices from a shared counter until none are left,
+//!   so a worker that drew a costly item does not hold up the rest; each
+//!   block's results are merged back in order of block start, so the
+//!   output `Vec` is identical whether the map ran on 1 thread or 16;
 //! * work items that need randomness derive their seed from the master
 //!   seed and their own index via [`derive_seed`] — never from a shared
 //!   RNG that threads would race on, and never from a thread id.
@@ -17,6 +19,8 @@
 //! The implementation uses `std::thread::scope` so borrowed inputs can be
 //! shared without `Arc` plumbing and without any dependency on an external
 //! thread-pool crate.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Resolves a requested thread count: `0` means "use the machine's
 /// available parallelism", anything else is taken literally.
@@ -42,25 +46,41 @@ where
     if threads <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
-    // Contiguous chunks, sized ceil(n / threads): chunk boundaries depend
-    // only on (n, threads), and the merge re-establishes input order, so
-    // the schedule is irrelevant to the result.
-    let chunk = n.div_ceil(threads);
-    let mut results: Vec<Vec<R>> = Vec::with_capacity(threads);
+    // Workers claim blocks of ceil(n / (4 * threads)) consecutive indices
+    // until the counter passes n: about four blocks per worker balance
+    // uneven item costs without contending on the counter. Which worker
+    // ran a block is irrelevant to the result: blocks merge by start.
+    let block = n.div_ceil(4 * threads);
+    let next = AtomicUsize::new(0);
+    let mut blocks: Vec<(usize, Vec<R>)> = Vec::with_capacity(n.div_ceil(block));
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let start = t * chunk;
-                let end = ((t + 1) * chunk).min(n);
-                let f = &f;
-                scope.spawn(move || (start..end).map(f).collect::<Vec<R>>())
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut claimed = Vec::new();
+                    loop {
+                        // Relaxed: the counter only hands out disjoint
+                        // ranges; results travel back through `join`.
+                        let start = next.fetch_add(block, Ordering::Relaxed);
+                        if start >= n {
+                            return claimed;
+                        }
+                        let end = (start + block).min(n);
+                        claimed.push((start, (start..end).map(&f).collect::<Vec<R>>()));
+                    }
+                })
             })
             .collect();
         for handle in handles {
-            results.push(handle.join().expect("parallel_map worker panicked"));
+            blocks.extend(handle.join().expect("parallel_map worker panicked"));
         }
     });
-    results.into_iter().flatten().collect()
+    blocks.sort_unstable_by_key(|&(start, _)| start);
+    let mut out = Vec::with_capacity(n);
+    for (_, results) in blocks {
+        out.extend(results);
+    }
+    out
 }
 
 /// Maps `f` over a slice on up to `threads` scoped threads (0 = auto),
@@ -146,6 +166,33 @@ mod tests {
         for pair in seeds.windows(2) {
             let differing_bits = (pair[0] ^ pair[1]).count_ones();
             assert!(differing_bits >= 8, "suspiciously close: {pair:?}");
+        }
+    }
+
+    #[test]
+    fn skewed_item_costs_evaluate_each_index_once_in_order() {
+        // One item far costlier than the rest, at the front, middle or
+        // end: the other workers claim the remaining blocks meanwhile, and
+        // the merge must still put every result at its own index.
+        for threads in [1, 2, 3, 8] {
+            for n in [0usize, 1, 7, 8, 9, 1000] {
+                for costly in [0, n / 2, n.saturating_sub(1)] {
+                    let calls: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                    let out = parallel_map_range(n, threads, |i| {
+                        if i == costly {
+                            std::thread::sleep(std::time::Duration::from_millis(5));
+                        }
+                        calls[i].fetch_add(1, Ordering::Relaxed);
+                        derive_seed(3, i as u64)
+                    });
+                    let expected: Vec<u64> = (0..n as u64).map(|i| derive_seed(3, i)).collect();
+                    assert_eq!(out, expected, "threads {threads}, n {n}, costly {costly}");
+                    for (i, c) in calls.iter().enumerate() {
+                        let calls = c.load(Ordering::Relaxed);
+                        assert_eq!(calls, 1, "index {i} of {n}, threads {threads}");
+                    }
+                }
+            }
         }
     }
 

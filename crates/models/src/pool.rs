@@ -18,7 +18,7 @@ use crate::linear::{LogisticParams, LogisticRegression};
 use crate::parallel::parallel_map;
 use crate::persist::ModelSpec;
 use crate::traits::{predict_dataset, Classifier};
-use crate::tree::{DecisionTree, TreeParams};
+use crate::tree::{DecisionTree, Presort, TreeParams};
 use falcc_dataset::{Dataset, GroupId};
 use falcc_metrics::shannon_entropy_diversity;
 use std::sync::Arc;
@@ -157,12 +157,14 @@ impl ModelPool {
         let all_idx: Vec<usize> = (0..train.len()).collect();
         let grid = paper_grid(cfg.trainer);
         falcc_telemetry::counters::POOL_GRID_POINTS.add(grid.len() as u64);
-        // Grid points are independent: fit them in parallel. Each point's
-        // seed is a function of its grid index only, and `parallel_map`
-        // returns results in grid order, so the pool is identical for
-        // every thread count. Worker spans parent under the grid-fit span
-        // by explicit id with the grid index as ordinal, so the trace tree
-        // is likewise identical for every thread count.
+        // Grid points are independent: fit them in parallel, handed out
+        // largest first (rounds × depth) so no worker idles while another
+        // still has a 20-round depth-7 point to go. Each point's seed is a function of
+        // its grid index only, and every result lands in its grid slot, so
+        // the pool is identical for every thread count. Worker spans parent
+        // under the grid-fit span by explicit id with the grid index as
+        // ordinal, so the trace tree is likewise identical for every
+        // thread count.
         let grid_sp = falcc_telemetry::span("pool.grid_fit");
         let grid_sp_id = grid_sp.id();
         let mut slots: Vec<Option<Arc<dyn Classifier>>> = (0..grid.len())
@@ -177,17 +179,31 @@ impl ModelPool {
             .enumerate()
             .filter_map(|(i, s)| s.is_none().then_some(i))
             .collect();
-        let fitted = parallel_map(&missing, cfg.threads, |_, &i| {
+        let mut by_cost = missing.clone();
+        by_cost.sort_by_key(|&i| std::cmp::Reverse(grid[i].n_estimators * grid[i].max_depth));
+        // Every AdaBoost point trains on the same rows, so they all share
+        // one presort; random-forest points bootstrap their own rows.
+        let presort = (cfg.trainer == TrainerKind::AdaBoost && !missing.is_empty())
+            .then(|| Presort::new(train, &attrs, &all_idx));
+        let fitted = parallel_map(&by_cost, cfg.threads, |_, &i| {
             let _w = falcc_telemetry::span_under(grid_sp_id, "pool.grid_point", i as u64);
-            grid[i].fit(train, &attrs, &all_idx, cfg.seed ^ (i as u64) << 8)
+            let seed = cfg.seed ^ (i as u64) << 8;
+            match &presort {
+                Some(presort) => grid[i].fit_presorted(presort, seed),
+                None => grid[i].fit(train, &attrs, &all_idx, seed),
+            }
         });
-        for (&i, model) in missing.iter().zip(&fitted) {
-            if let Some(c) = ckpt.as_deref_mut() {
-                if let Some(spec) = model.to_spec() {
+        drop(presort); // freed before diversity selection allocates
+        for (&i, model) in by_cost.iter().zip(fitted) {
+            slots[i] = Some(model);
+        }
+        // Journal in slot order, whatever order the points were fitted in.
+        if let Some(c) = ckpt.as_deref_mut() {
+            for &i in &missing {
+                if let Some(spec) = slots[i].as_ref().and_then(|m| m.to_spec()) {
                     c.store(i, &spec);
                 }
             }
-            slots[i] = Some(model.clone());
         }
         let candidates: Vec<Arc<dyn Classifier>> = slots.into_iter().flatten().collect();
         drop(grid_sp);
@@ -633,14 +649,25 @@ mod tests {
 
     #[test]
     fn checkpointed_training_resumes_bit_identically() {
+        // Workers claim grid points largest first, yet the journal must
+        // see slots in slot order at every thread count.
         let split = small_split();
-        let cfg = PoolConfig { pool_size: 3, split_by_group: true, ..Default::default() };
-        let plain = ModelPool::train_diverse(&split.train, &split.validation, &cfg);
+        let plain_cfg = PoolConfig { pool_size: 3, split_by_group: true, ..Default::default() };
+        let plain = ModelPool::train_diverse(&split.train, &split.validation, &plain_cfg);
+        for threads in [1, 2, 8] {
+            let cfg = PoolConfig {
+                threads,
+                ..plain_cfg
+            };
+            resumes_bit_identically(&split, &cfg, &plain);
+        }
+    }
 
+    fn resumes_bit_identically(split: &ThreeWaySplit, cfg: &PoolConfig, plain: &ModelPool) {
         // First checkpointed run stores every slot in slot order.
         let mut ckpt = MemoryCheckpoint::default();
         let first =
-            ModelPool::train_diverse_checkpointed(&split.train, &split.validation, &cfg, &mut ckpt);
+            ModelPool::train_diverse_checkpointed(&split.train, &split.validation, cfg, &mut ckpt);
         assert_eq!(ckpt.stored, (0..10).collect::<Vec<_>>(), "8 grid + 2 split slots");
         assert!(ckpt.loaded.is_empty());
 
@@ -648,7 +675,7 @@ mod tests {
         let partial: Vec<usize> = ckpt.stored.clone();
         ckpt.stored.clear();
         let resumed =
-            ModelPool::train_diverse_checkpointed(&split.train, &split.validation, &cfg, &mut ckpt);
+            ModelPool::train_diverse_checkpointed(&split.train, &split.validation, cfg, &mut ckpt);
         assert!(ckpt.stored.is_empty(), "no refits on a full journal");
         assert_eq!(ckpt.loaded, partial);
 
@@ -658,7 +685,7 @@ mod tests {
             half.slots.insert(slot, spec.clone());
         }
         let halfway =
-            ModelPool::train_diverse_checkpointed(&split.train, &split.validation, &cfg, &mut half);
+            ModelPool::train_diverse_checkpointed(&split.train, &split.validation, cfg, &mut half);
         assert_eq!(half.stored, vec![1, 3, 5, 7, 9]);
 
         // All four pools predict identically row for row.

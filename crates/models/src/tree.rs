@@ -9,9 +9,10 @@
 //! Two builders produce **bit-identical** trees:
 //!
 //! * [`DecisionTree::fit`] — the production *presorted* builder: every
-//!   candidate feature's sample order is sorted **once** per tree
-//!   (O(d·n log n)) and threaded through the recursion by stable
-//!   partitioning, so each node costs O(d·m) instead of O(d·m log m).
+//!   candidate feature's sample order is sorted **once** per training set
+//!   (O(d·n log n), a `Presort` that boosting rounds and grid points
+//!   share) and threaded through the recursion by stable partitioning of
+//!   a per-tree copy, so each node costs O(d·m) instead of O(d·m log m).
 //! * [`DecisionTree::fit_naive`] — the textbook builder that re-sorts at
 //!   every node; kept as the reference implementation for the
 //!   proof-of-equivalence harness and the kernel benchmarks.
@@ -131,9 +132,26 @@ impl DecisionTree {
         params: &TreeParams,
         seed: u64,
     ) -> Self {
-        check_fit_inputs(attrs, indices, weights);
-        let mut builder = FastBuilder::new(ds, attrs, indices, weights, params, seed);
-        builder.build(0, indices.len(), 0);
+        Self::fit_presorted(&Presort::new(ds, attrs, indices), weights, params, seed)
+    }
+
+    /// [`Self::fit`] over a presort the caller may share between trees
+    /// fitted on the same rows; `weights`, when given, is parallel to the
+    /// presort's `indices`.
+    ///
+    /// # Panics
+    /// Panics if `weights` has the wrong length.
+    pub(crate) fn fit_presorted(
+        presort: &Presort<'_>,
+        weights: Option<&[f64]>,
+        params: &TreeParams,
+        seed: u64,
+    ) -> Self {
+        if let Some(w) = weights {
+            assert_eq!(w.len(), presort.len(), "one weight per training sample");
+        }
+        let mut builder = FastBuilder::new(presort, weights, params, seed);
+        builder.build(0, presort.len(), 0);
         Self { nodes: builder.nodes, name: tree_name(params) }
     }
 
@@ -360,46 +378,34 @@ fn partition<T: Copy>(items: &mut [T], mut pred: impl FnMut(&T) -> bool) -> usiz
     store
 }
 
-/// The presorted CART builder behind [`DecisionTree::fit`].
+/// The weight-independent half of the presorted builder: the training
+/// rows' candidate attribute values, each attribute's slots sorted by
+/// value, and the labels. Sample "slots" are positions into `indices`.
 ///
-/// Sample "slots" are positions into the caller's `indices`; per candidate
-/// attribute the slots are sorted by value **once**, and every node owns a
-/// contiguous segment `[lo, hi)` of all per-attribute orders plus the
-/// naive builder's item order. Splitting a node stably partitions each of
-/// those arrays in O(d·m) — no re-sorting below the root.
-struct FastBuilder<'a> {
-    params: &'a TreeParams,
+/// Every tree fitted on the same rows and attributes can share one
+/// presort read-only — all boosting rounds of an ensemble, and all
+/// AdaBoost points of the hyperparameter grid — so the O(d·n log n)
+/// sort runs once per training set instead of once per tree.
+pub(crate) struct Presort<'a> {
+    ds: &'a Dataset,
     attrs: &'a [AttrId],
-    rng: StdRng,
-    nodes: Vec<Node>,
-    n: usize,
+    indices: &'a [usize],
     /// `vals[a_idx * n + slot]` — candidate attribute values per slot.
     vals: Vec<f64>,
-    /// `orders[a_idx * n ..][lo..hi]` — slots sorted by attribute value
+    /// `orders[a_idx * n ..][..n]` — slots sorted by attribute value
     /// (ties in original slot order, matching the naive stable sort).
     orders: Vec<u32>,
-    /// Slots in the naive builder's item order (original order filtered by
-    /// the path predicates); the weight/label sums iterate this order.
-    items: Vec<u32>,
-    /// Per slot: sample weight.
-    weights: Vec<f64>,
     /// Per slot: `label == 1`.
     is_pos: Vec<bool>,
-    /// Per slot scratch: side of the current split.
-    goes_left: Vec<bool>,
-    /// Partition scratch (right side), reused across nodes.
-    scratch: Vec<u32>,
 }
 
-impl<'a> FastBuilder<'a> {
-    fn new(
-        ds: &Dataset,
-        attrs: &'a [AttrId],
-        indices: &[usize],
-        weights: Option<&[f64]>,
-        params: &'a TreeParams,
-        seed: u64,
-    ) -> Self {
+impl<'a> Presort<'a> {
+    /// Sorts the rows of `ds` in `indices` on every attribute in `attrs`.
+    ///
+    /// # Panics
+    /// Panics if `indices` or `attrs` is empty.
+    pub(crate) fn new(ds: &'a Dataset, attrs: &'a [AttrId], indices: &'a [usize]) -> Self {
+        check_fit_inputs(attrs, indices, None);
         let n = indices.len();
         let d = attrs.len();
         let mut vals = Vec::with_capacity(d * n);
@@ -419,20 +425,78 @@ impl<'a> FastBuilder<'a> {
             });
             orders.extend_from_slice(&order);
         }
+        let is_pos = indices.iter().map(|&row| ds.label(row) == 1).collect();
         Self {
-            params,
+            ds,
             attrs,
-            rng: StdRng::seed_from_u64(seed ^ 0xa076_1d64_78bd_642f),
-            nodes: Vec::new(),
-            n,
+            indices,
             vals,
             orders,
+            is_pos,
+        }
+    }
+
+    /// The dataset the presort was built from.
+    pub(crate) fn dataset(&self) -> &'a Dataset {
+        self.ds
+    }
+
+    /// The presorted rows of [`Self::dataset`], in slot order.
+    pub(crate) fn indices(&self) -> &'a [usize] {
+        self.indices
+    }
+
+    /// Number of slots (training rows).
+    pub(crate) fn len(&self) -> usize {
+        self.indices.len()
+    }
+}
+
+/// The per-tree half of the presorted builder behind
+/// [`DecisionTree::fit`].
+///
+/// Every node owns a contiguous segment `[lo, hi)` of all per-attribute
+/// orders plus the naive builder's item order. Splitting a node stably
+/// partitions each of those arrays in O(d·m) — no re-sorting below the
+/// root. The orders start as a copy of the shared [`Presort`], so the
+/// presort itself is never modified.
+struct FastBuilder<'a> {
+    presort: &'a Presort<'a>,
+    params: &'a TreeParams,
+    rng: StdRng,
+    nodes: Vec<Node>,
+    /// This tree's working copy of `presort.orders`, partitioned in place.
+    orders: Vec<u32>,
+    /// Slots in the naive builder's item order (original order filtered by
+    /// the path predicates); the weight/label sums iterate this order.
+    items: Vec<u32>,
+    /// Per slot: sample weight.
+    weights: Vec<f64>,
+    /// Per slot scratch: side of the current split.
+    goes_left: Vec<bool>,
+    /// Partition scratch (right side), reused across nodes.
+    scratch: Vec<u32>,
+}
+
+impl<'a> FastBuilder<'a> {
+    fn new(
+        presort: &'a Presort<'a>,
+        weights: Option<&[f64]>,
+        params: &'a TreeParams,
+        seed: u64,
+    ) -> Self {
+        let n = presort.len();
+        Self {
+            presort,
+            params,
+            rng: StdRng::seed_from_u64(seed ^ 0xa076_1d64_78bd_642f),
+            nodes: Vec::new(),
+            orders: presort.orders.clone(),
             items: (0..n as u32).collect(),
             weights: match weights {
                 Some(w) => w.to_vec(),
                 None => vec![1.0; n],
             },
-            is_pos: indices.iter().map(|&row| ds.label(row) == 1).collect(),
             goes_left: vec![false; n],
             scratch: Vec::with_capacity(n),
         }
@@ -440,19 +504,25 @@ impl<'a> FastBuilder<'a> {
 
     /// Position of `attr` within the candidate attribute list.
     fn attr_index(&self, attr: AttrId) -> usize {
-        self.attrs.iter().position(|&a| a == attr).expect("candidate attribute")
+        self.presort
+            .attrs
+            .iter()
+            .position(|&a| a == attr)
+            .expect("candidate attribute")
     }
 
     /// Builds the subtree over segment `[lo, hi)`, returning its node id.
     /// Children are pushed before parents, exactly like the naive builder.
     fn build(&mut self, lo: usize, hi: usize, depth: usize) -> u32 {
+        let presort = self.presort;
+        let (n, vals, is_pos) = (presort.len(), &presort.vals, &presort.is_pos);
         let m = hi - lo;
         let mut total_w = 0.0;
         let mut pos_w = 0.0;
         for &slot in &self.items[lo..hi] {
             let w = self.weights[slot as usize];
             total_w += w;
-            if self.is_pos[slot as usize] {
+            if is_pos[slot as usize] {
                 pos_w += w;
             }
         }
@@ -468,24 +538,23 @@ impl<'a> FastBuilder<'a> {
             return (self.nodes.len() - 1) as u32;
         }
 
-        let candidates =
-            sample_candidates(self.attrs, self.params.max_features, &mut self.rng);
+        let candidates = sample_candidates(presort.attrs, self.params.max_features, &mut self.rng);
         let parent_imp = self.params.criterion.impurity(p);
         let mut best: Option<(AttrId, f64, f64)> = None; // (attr, threshold, gain)
         let mut evaluated = 0u64;
 
         for &attr in &candidates {
-            let base = self.attr_index(attr) * self.n;
+            let base = self.attr_index(attr) * n;
             let order = &self.orders[base + lo..base + hi];
             let mut left_w = 0.0;
             let mut left_pos = 0.0;
             for cut in 1..m {
                 let s_prev = order[cut - 1] as usize;
-                let v_prev = self.vals[base + s_prev];
+                let v_prev = vals[base + s_prev];
                 let w_prev = self.weights[s_prev];
                 left_w += w_prev;
-                left_pos += if self.is_pos[s_prev] { w_prev } else { 0.0 };
-                let v_here = self.vals[base + order[cut] as usize];
+                left_pos += if is_pos[s_prev] { w_prev } else { 0.0 };
+                let v_here = vals[base + order[cut] as usize];
                 if v_here <= v_prev {
                     continue; // no boundary between equal values
                 }
@@ -518,10 +587,10 @@ impl<'a> FastBuilder<'a> {
 
         // Mark each slot's side, then stably partition the item order and
         // every per-attribute order around the same boundary.
-        let split_base = self.attr_index(attr) * self.n;
+        let split_base = self.attr_index(attr) * n;
         let mut n_left = 0;
         for &slot in &self.items[lo..hi] {
-            let left = self.vals[split_base + slot as usize] <= threshold;
+            let left = vals[split_base + slot as usize] <= threshold;
             self.goes_left[slot as usize] = left;
             n_left += usize::from(left);
         }
@@ -532,8 +601,8 @@ impl<'a> FastBuilder<'a> {
             return (self.nodes.len() - 1) as u32;
         }
         partition_slots(&mut self.items[lo..hi], &self.goes_left, &mut self.scratch);
-        for a_idx in 0..self.attrs.len() {
-            let base = a_idx * self.n;
+        for a_idx in 0..presort.attrs.len() {
+            let base = a_idx * n;
             partition_slots(
                 &mut self.orders[base + lo..base + hi],
                 &self.goes_left,

@@ -10,9 +10,14 @@
 //! the stable order of its per-node sort, and only because both sorts are
 //! stable and the partition preserves relative order do the candidate
 //! scans see the same sequence — and hence accumulate the same floats.
+//!
+//! AdaBoost sorts its rows once and boosts every round over that one
+//! presort, each round's tree partitioning a fresh copy of the sorted
+//! orders; it must equal the ensemble that refits every round with the
+//! naive builder.
 
 use falcc_dataset::{Dataset, Schema};
-use falcc_models::{DecisionTree, SplitCriterion, TreeParams};
+use falcc_models::{AdaBoost, AdaBoostParams, DecisionTree, SplitCriterion, TreeParams};
 use proptest::prelude::*;
 
 /// A dataset whose feature values are drawn from a small discrete grid so
@@ -98,6 +103,34 @@ proptest! {
         };
         let fast = DecisionTree::fit(&ds, &[0, 1, 2], &idx, None, &params, seed);
         let naive = DecisionTree::fit_naive(&ds, &[0, 1, 2], &idx, None, &params, seed);
+        prop_assert_eq!(fast, naive);
+    }
+
+    #[test]
+    fn boosting_over_one_presort_equals_naive_refits(
+        (ds, weights) in tied_dataset().prop_flat_map(|ds| {
+            let n = ds.len();
+            (Just(ds), weights_for(n))
+        }),
+        depth in 1usize..8,
+        rounds in 3usize..7,
+        seed in 0u64..1_000,
+        entropy in 0u8..=1,
+    ) {
+        // Every round after the first must start from the presort's
+        // orders, not from the orders the previous round partitioned.
+        let idx: Vec<usize> = (0..ds.len()).collect();
+        let params = AdaBoostParams {
+            n_estimators: rounds,
+            tree: TreeParams {
+                max_depth: depth,
+                criterion: if entropy == 1 { SplitCriterion::Entropy } else { SplitCriterion::Gini },
+                ..TreeParams::default()
+            },
+        };
+        let w = weights.as_deref();
+        let fast = AdaBoost::fit(&ds, &[0, 1, 2], &idx, w, &params, seed);
+        let naive = AdaBoost::fit_naive(&ds, &[0, 1, 2], &idx, w, &params, seed);
         prop_assert_eq!(fast, naive);
     }
 
