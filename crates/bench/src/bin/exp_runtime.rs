@@ -182,26 +182,6 @@ fn main() {
     write_csv(&table, &out, "fig6_runtime.csv");
     write_csv(&offline_table, &out, "offline_scaling.csv");
 
-    // Kernel-level speedups next to the Fig. 6 table: naive reference vs
-    // the fast kernels the numbers above are built on (see `exp_kernels`
-    // for the JSON artifact).
-    let report = falcc_bench::bench_kernels(opts.scale, opts.seed, 1);
-    let mut kernel_table = Table::new(
-        "Numeric kernels — naive vs fast (single rep, Adult (2) scale)",
-        &["kernel", "naive_ms", "fast_ms", "speedup", "equivalent"],
-    );
-    for k in &report.kernels {
-        kernel_table.push(vec![
-            k.kernel.clone(),
-            format!("{:.2}", k.naive_ms),
-            format!("{:.2}", k.fast_ms),
-            format!("{:.2}x", k.speedup),
-            k.equivalent.to_string(),
-        ]);
-    }
-    print!("{}", kernel_table.render());
-    write_csv(&kernel_table, &out, "kernel_speedups.csv");
-
     // Serving cold start next to the runtime numbers: the JSON
     // restore+compile path a replica pays today vs the persisted binary
     // artifact (see `exp_artifacts` for the JSON report and the gates).

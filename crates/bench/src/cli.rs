@@ -15,7 +15,8 @@ pub struct Opts {
     /// Output directory for CSV files.
     pub out: PathBuf,
     /// Tiny-footprint mode for CI: shrink data and repetitions so the
-    /// binary finishes in seconds (used by `exp_kernels`).
+    /// binary finishes in seconds (used by `exp_runtime`, `exp_serving`
+    /// and `exp_artifacts`).
     pub smoke: bool,
     /// Record telemetry and print the per-phase profile (`--profile`).
     pub profile: bool,

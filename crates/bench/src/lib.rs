@@ -12,7 +12,6 @@
 //! | `exp_proxy`     | Fig. 5 — proxy-mitigation strategies |
 //! | `exp_runtime`   | Fig. 6 — online-phase runtime |
 //! | `exp_ablation`  | extra — design-choice ablations (k estimation, pool size, λ) |
-//! | `exp_kernels`   | extra — naive-vs-fast kernel timings (`BENCH_kernels.json`) |
 //! | `exp_serving`   | extra — interpreted vs compiled serving plane (`BENCH_serving.json`) |
 //!
 //! Every binary accepts `--seed <u64>`, `--runs <n>`, `--scale <f64>` (row
@@ -30,7 +29,6 @@ pub mod artifacts;
 pub mod cli;
 pub mod data;
 pub mod eval;
-pub mod kernels;
 pub mod overhead;
 pub mod report;
 pub mod serving;
@@ -40,7 +38,6 @@ pub use artifacts::{bench_artifacts, ArtifactsReport};
 pub use cli::Opts;
 pub use data::BenchDataset;
 pub use eval::{evaluate, reference_regions, EvalRow};
-pub use kernels::{bench_kernels, KernelReport, KernelTiming};
 pub use overhead::{measure_overhead, TelemetryOverheadReport};
 pub use report::{write_csv, Table};
 pub use serving::{bench_serving, ServingReport};

@@ -2,7 +2,7 @@
 //! the end-to-end FALCC pipeline, recording enabled vs. disabled.
 //!
 //! `exp_runtime` serialises the result to `BENCH_telemetry.json` so the
-//! overhead numbers are committed alongside the kernel speedups. Two
+//! overhead numbers are committed alongside the runtime tables. Two
 //! complementary measurements:
 //!
 //! * **End-to-end**: median wall-clock of fit + classify with telemetry
@@ -269,6 +269,7 @@ mod tests {
     use super::*;
 
     #[test]
+    #[cfg_attr(debug_assertions, ignore = "release-only bound; CI runs it in release")]
     fn overhead_report_is_sound() {
         let report = measure_overhead(0.02, 11, 1);
         assert!(report.disabled_ms > 0.0);

@@ -13,7 +13,7 @@
 //! recursively (re-using cached SSEs) until it cannot be narrowed further,
 //! and the right endpoint of the winning ratio is returned.
 
-use crate::kmeans::{extend_centroids, KMeans};
+use crate::kmeans::KMeans;
 use falcc_dataset::dataset::ProjectedMatrix;
 use std::collections::BTreeMap;
 
@@ -29,15 +29,6 @@ pub struct KEstimateConfig {
     /// Max Lloyd iterations per probe (probes can be cheaper than the final
     /// clustering).
     pub max_iter: usize,
-    /// Reuse converged centroids from the nearest already-probed `k` as an
-    /// extra warm-started Lloyd run per probe (truncated or extended by
-    /// deterministic farthest-point traversal); the lower-SSE candidate
-    /// wins. Tightens the SSE estimates LOG-Means bisects on while the
-    /// warm runs converge in a handful of iterations.
-    pub warm_start: bool,
-    /// Forwarded to [`KMeans::bounds`] (Hamerly-style bounded Lloyd;
-    /// bit-identical to the naive kernel, so this only affects speed).
-    pub bounds: bool,
 }
 
 impl KEstimateConfig {
@@ -45,66 +36,29 @@ impl KEstimateConfig {
     /// capped to `[2, 64]`.
     pub fn for_rows(n_rows: usize, seed: u64) -> Self {
         let k_max = ((n_rows as f64).sqrt() as usize).clamp(2, 64);
-        Self { k_min: 2, k_max, seed, max_iter: 30, warm_start: true, bounds: true }
+        Self { k_min: 2, k_max, seed, max_iter: 30 }
     }
 }
 
-/// Memoised probe results: SSE plus the converged centroids, which seed
-/// warm starts at neighbouring `k` values.
-type ProbeCache = BTreeMap<usize, (f64, Vec<Vec<f64>>)>;
-
 /// SSE at `k`, memoised across probes.
-fn sse_at(cache: &mut ProbeCache, x: &ProjectedMatrix, cfg: &KEstimateConfig, k: usize) -> f64 {
-    if let Some((v, _)) = cache.get(&k) {
-        return *v;
+fn sse_at(
+    cache: &mut BTreeMap<usize, f64>,
+    x: &ProjectedMatrix,
+    cfg: &KEstimateConfig,
+    k: usize,
+) -> f64 {
+    if let Some(&v) = cache.get(&k) {
+        return v;
     }
     falcc_telemetry::counters::LOGMEANS_PROBES.incr();
     let mut trainer = KMeans::new(k, cfg.seed);
     trainer.max_iter = cfg.max_iter;
-    trainer.bounds = cfg.bounds;
     // Probes only need SSE estimates, not the best possible clustering;
     // two restarts keep the estimator robust without quadrupling its cost.
     trainer.n_init = 2;
-    let mut best = trainer.fit(x);
-    if cfg.warm_start {
-        if let Some(init) = warm_candidate(cache, x, k) {
-            falcc_telemetry::counters::LOGMEANS_WARM_STARTS.incr();
-            let warm = trainer.fit_from(x, init);
-            if warm.sse < best.sse {
-                best = warm;
-            }
-        }
-    }
-    let v = best.sse.max(1e-12);
-    cache.insert(k, (v, best.centroids));
+    let v = trainer.fit(x).sse.max(1e-12);
+    cache.insert(k, v);
     v
-}
-
-/// Initial centroids for a warm-started probe at `k`: the converged
-/// centroids of the nearest cached probe (ties prefer the smaller `k`),
-/// truncated or extended by farthest-point traversal to exactly `k`.
-fn warm_candidate(cache: &ProbeCache, x: &ProjectedMatrix, k: usize) -> Option<Vec<Vec<f64>>> {
-    let below = cache.range(..k).next_back();
-    let above = cache.range(k + 1..).next();
-    let (_, (_, centroids)) = match (below, above) {
-        (None, None) => return None,
-        (Some(b), None) => b,
-        (None, Some(a)) => a,
-        (Some(b), Some(a)) => {
-            if k - b.0 <= a.0 - k {
-                b
-            } else {
-                a
-            }
-        }
-    };
-    let mut init = centroids.clone();
-    if init.len() > k {
-        init.truncate(k);
-        Some(init)
-    } else {
-        Some(extend_centroids(x, init, k))
-    }
 }
 
 /// LOG-Means estimate of `k`.
@@ -139,7 +93,7 @@ pub fn log_means(x: &ProjectedMatrix, cfg: &KEstimateConfig) -> usize {
         let keys: Vec<usize> = cache.keys().copied().collect();
         let (mut best_ratio, mut best_pair) = (f64::MIN, (keys[0], keys[0]));
         for w in keys.windows(2) {
-            let ratio = cache[&w[0]].0 / cache[&w[1]].0;
+            let ratio = cache[&w[0]] / cache[&w[1]];
             if ratio > best_ratio {
                 best_ratio = ratio;
                 best_pair = (w[0], w[1]);
@@ -208,7 +162,7 @@ mod tests {
     fn log_means_finds_clear_cluster_count() {
         let centers = [(0.0, 0.0), (20.0, 0.0), (0.0, 20.0), (20.0, 20.0)];
         let x = blobs(60, &centers, 0.6, 1);
-        let cfg = KEstimateConfig { k_min: 2, k_max: 16, seed: 5, max_iter: 50, warm_start: true, bounds: true };
+        let cfg = KEstimateConfig { k_min: 2, k_max: 16, seed: 5, max_iter: 50 };
         let k = log_means(&x, &cfg);
         assert!((3..=6).contains(&k), "expected ≈4 clusters, got {k}");
     }
@@ -217,7 +171,7 @@ mod tests {
     fn elbow_finds_clear_cluster_count() {
         let centers = [(0.0, 0.0), (25.0, 0.0), (0.0, 25.0)];
         let x = blobs(60, &centers, 0.5, 2);
-        let cfg = KEstimateConfig { k_min: 2, k_max: 10, seed: 5, max_iter: 50, warm_start: true, bounds: true };
+        let cfg = KEstimateConfig { k_min: 2, k_max: 10, seed: 5, max_iter: 50 };
         let k = elbow_k(&x, &cfg);
         assert!((2..=4).contains(&k), "expected ≈3 clusters, got {k}");
     }
@@ -227,7 +181,7 @@ mod tests {
         // Structural property, not a wall-clock claim: with k_max = 64 the
         // exponential + bisection pattern touches O(log²) values.
         let x = blobs(30, &[(0.0, 0.0), (15.0, 15.0)], 1.0, 3);
-        let cfg = KEstimateConfig { k_min: 2, k_max: 32, seed: 1, max_iter: 15, warm_start: true, bounds: true };
+        let cfg = KEstimateConfig { k_min: 2, k_max: 32, seed: 1, max_iter: 15 };
         // Just verify it terminates and returns something in range.
         let k = log_means(&x, &cfg);
         assert!((2..=32).contains(&k));
@@ -236,7 +190,7 @@ mod tests {
     #[test]
     fn degenerate_ranges() {
         let x = blobs(10, &[(0.0, 0.0)], 0.5, 4);
-        let cfg = KEstimateConfig { k_min: 3, k_max: 3, seed: 0, max_iter: 10, warm_start: true, bounds: true };
+        let cfg = KEstimateConfig { k_min: 3, k_max: 3, seed: 0, max_iter: 10 };
         assert_eq!(log_means(&x, &cfg), 3);
         assert_eq!(elbow_k(&x, &cfg), 3);
     }
@@ -253,7 +207,7 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let x = blobs(40, &[(0.0, 0.0), (12.0, 12.0)], 1.0, 8);
-        let cfg = KEstimateConfig { k_min: 2, k_max: 12, seed: 9, max_iter: 20, warm_start: true, bounds: true };
+        let cfg = KEstimateConfig { k_min: 2, k_max: 12, seed: 9, max_iter: 20 };
         assert_eq!(log_means(&x, &cfg), log_means(&x, &cfg));
     }
 }

@@ -3,20 +3,16 @@
 //! [`crate::KMeansModel`] stores its centroids as `Vec<Vec<f64>>` — one
 //! heap allocation per centroid, so every nearest-centroid query chases
 //! `k` pointers. [`CentroidMatrix`] packs the same centroids into one
-//! contiguous row-major `k × d` slab with the norms cached alongside,
-//! turning the region match into a linear sweep over one cache-resident
-//! block.
+//! contiguous row-major `k × d` slab plus a transposed copy, turning the
+//! region match into a linear sweep over one cache-resident block.
 //!
 //! **Equivalence contract**: [`CentroidMatrix::nearest`] replicates
-//! [`crate::KMeansModel::predict_pruned`] *bit for bit* — same centroid
-//! iteration order, the same reverse-triangle-inequality prefilter with
-//! the same deflated margins, the same exact squared-distance summation
-//! for surviving candidates, and the same strict-improvement tie-break
-//! (first centroid wins ties). It also flushes the same
-//! `online.pruned_candidates` telemetry counter, so traces are
-//! indistinguishable between the interpreted and compiled planes.
+//! [`crate::KMeansModel::predict`] *bit for bit* — the same exact
+//! squared-distance summation per centroid and the same
+//! strict-improvement argmin in centroid order (first centroid wins
+//! ties), whether or not telemetry is recording.
 
-use crate::kmeans::{sq_dist, KMeansModel, LB_DEFLATE, NORM_GAP_MARGIN};
+use crate::kmeans::{sq_dist, KMeansModel};
 
 /// Widest centroid count served by the transposed (column-major) scan;
 /// beyond it the scan falls back to the row-major four-lane sweep. 32
@@ -24,7 +20,7 @@ use crate::kmeans::{sq_dist, KMeansModel, LB_DEFLATE, NORM_GAP_MARGIN};
 /// serving-plane configuration (the paper's grids stay below k = 16).
 const COLUMN_SCAN_MAX_K: usize = 32;
 
-/// Contiguous centroid slab in both orders plus cached norms.
+/// Contiguous centroid slab in both orders.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CentroidMatrix {
     data: Vec<f64>,
@@ -36,69 +32,43 @@ pub struct CentroidMatrix {
     cols: Vec<f64>,
     /// Power-of-two row length of `cols` (4–32); `k` rounded up.
     col_stride: usize,
-    norms: Vec<f64>,
+    k: usize,
     n_cols: usize,
 }
 
 impl CentroidMatrix {
-    /// Packs the centroids of a fitted k-means model. The cached norms are
-    /// computed exactly as [`KMeansModel::centroid_norms`] does.
+    /// Packs the centroids of a fitted k-means model.
     ///
     /// # Panics
     /// Panics if the model has no centroids (a fitted model always has
     /// `k ≥ 1`).
     pub fn from_model(model: &KMeansModel) -> Self {
-        let norms = model.centroid_norms();
-        Self::with_norms(model, norms)
-    }
-
-    /// Like [`Self::from_model`], but adopts already-computed norms
-    /// instead of recomputing them — callers that restored a snapshot (or
-    /// hold a fitted [`crate::KMeansModel`] with cached norms) avoid the
-    /// duplicate `k × d` sweep. Debug builds verify the handed-in norms
-    /// match a fresh recomputation bit-for-bit.
-    ///
-    /// # Panics
-    /// Panics if the model has no centroids or `norms.len() != k`.
-    pub fn with_norms(model: &KMeansModel, norms: Vec<f64>) -> Self {
         assert!(!model.centroids.is_empty(), "cannot flatten a centroid-free model");
-        assert_eq!(norms.len(), model.centroids.len(), "one norm per centroid");
-        debug_assert!(
-            model
-                .centroid_norms()
-                .iter()
-                .zip(&norms)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "adopted norms must match the centroids bit-for-bit"
-        );
         let n_cols = model.centroids[0].len();
         let mut data = Vec::with_capacity(model.centroids.len() * n_cols);
         for centroid in &model.centroids {
             data.extend_from_slice(centroid);
         }
-        match Self::from_raw(data, norms, n_cols) {
+        match Self::from_raw(data, model.centroids.len(), n_cols) {
             Ok(matrix) => matrix,
             Err(detail) => unreachable!("fitted model produced invalid slab: {detail}"),
         }
     }
 
     /// Rebuilds a matrix from its flat parts — the row-major centroid
-    /// slab and the cached norms — as produced by [`Self::data`] /
-    /// [`Self::norms`]. The transposed column slab is a derived cache and
-    /// is reconstructed, not transported. Returns a description of the
-    /// inconsistency instead of panicking so binary loaders can surface
-    /// it as a typed error.
+    /// slab ([`Self::data`]) and its shape. The transposed column slab is
+    /// a derived cache and is reconstructed, not transported. Returns a
+    /// description of the inconsistency instead of panicking so binary
+    /// loaders can surface it as a typed error.
     ///
     /// # Errors
     /// A human-readable detail string when the slab shape is
-    /// inconsistent (`data.len() != k * n_cols`, zero centroids, or a
-    /// zero-width matrix with non-empty data).
-    pub fn from_raw(data: Vec<f64>, norms: Vec<f64>, n_cols: usize) -> Result<Self, String> {
-        let k = norms.len();
+    /// inconsistent (zero centroids, or `data.len() != k * n_cols`).
+    pub fn from_raw(data: Vec<f64>, k: usize, n_cols: usize) -> Result<Self, String> {
         if k == 0 {
             return Err("centroid matrix must hold at least one centroid".into());
         }
-        if data.len() != k * n_cols {
+        if k.checked_mul(n_cols) != Some(data.len()) {
             return Err(format!(
                 "centroid slab holds {} values, expected k={k} × d={n_cols}",
                 data.len()
@@ -113,17 +83,12 @@ impl CentroidMatrix {
                 }
             }
         }
-        Ok(Self { data, cols, col_stride, norms, n_cols })
+        Ok(Self { data, cols, col_stride, k, n_cols })
     }
 
     /// The row-major `k × d` centroid slab.
     pub fn data(&self) -> &[f64] {
         &self.data
-    }
-
-    /// The cached centroid norms (`k` values).
-    pub fn norms(&self) -> &[f64] {
-        &self.norms
     }
 
     /// Transposed distance sweep with a compile-time column width `K`
@@ -153,7 +118,7 @@ impl CentroidMatrix {
 
     /// Number of centroids.
     pub fn k(&self) -> usize {
-        self.norms.len()
+        self.k
     }
 
     /// Centroid dimensionality.
@@ -196,76 +161,49 @@ impl CentroidMatrix {
     }
 
     /// Index of the centroid nearest to `point` — bit-identical to
-    /// [`KMeansModel::predict_pruned`] with the model's cached norms.
+    /// [`KMeansModel::predict`] on the source model.
     ///
-    /// With telemetry off, the scan runs without the norm prefilter: the
-    /// prefilter only ever skips candidates whose distance lower bound
-    /// already exceeds the best (it cannot change the argmin — the same
-    /// soundness `predict` vs `predict_pruned` equivalence tests pin),
-    /// and at serving-plane region counts the gap checks cost more than
-    /// the exact distances they save. Distances are computed four
-    /// centroids at a time ([`Self::sq_dist4`]) but compared strictly in
+    /// Up to [`COLUMN_SCAN_MAX_K`] centroids the transposed sweep
+    /// ([`Self::column_scan`]) runs; beyond it, distances are computed
+    /// four centroids at a time ([`Self::sq_dist4`]). Either way every
+    /// distance carries [`sq_dist`]'s bits and is compared strictly in
     /// centroid order with the same strict-improvement rule, so the
-    /// argmin (first centroid wins ties) is unchanged. The prefiltered
-    /// path is kept when telemetry records so the
-    /// `online.pruned_candidates` counter stays indistinguishable from
-    /// the interpreted plane's.
+    /// argmin (first centroid wins ties) is unchanged.
     ///
     /// # Panics
     /// Panics if `point.len() != self.n_cols()`.
     pub fn nearest(&self, point: &[f64]) -> usize {
         assert_eq!(point.len(), self.n_cols, "point dimensionality must match centroids");
-        if !falcc_telemetry::enabled() {
-            let k = self.norms.len();
-            // Compile-time widths so the transposed sweep's inner loop
-            // is a fixed-shape vector body; k values off the powers of
-            // two pad up to the next one (padding columns are zero and
-            // ignored by the argmin bound).
-            match k {
-                1 => return 0,
-                2..=4 => return self.column_scan::<4>(point, k),
-                5..=8 => return self.column_scan::<8>(point, k),
-                9..=16 => return self.column_scan::<16>(point, k),
-                17..=COLUMN_SCAN_MAX_K => return self.column_scan::<COLUMN_SCAN_MAX_K>(point, k),
-                _ => {}
-            }
-            let mut best = (0usize, f64::INFINITY);
-            let mut c = 0;
-            while c + 4 <= k {
-                let dists = self.sq_dist4(point, c);
-                for (lane, d) in dists.into_iter().enumerate() {
-                    if d < best.1 {
-                        best = (c + lane, d);
-                    }
-                }
-                c += 4;
-            }
-            for tail in c..k {
-                let d = sq_dist(point, self.row(tail));
-                if d < best.1 {
-                    best = (tail, d);
-                }
-            }
-            return best.0;
+        let k = self.k;
+        // Compile-time widths so the transposed sweep's inner loop is a
+        // fixed-shape vector body; k values off the powers of two pad up
+        // to the next one (padding columns are zero and ignored by the
+        // argmin bound).
+        match k {
+            1 => return 0,
+            2..=4 => return self.column_scan::<4>(point, k),
+            5..=8 => return self.column_scan::<8>(point, k),
+            9..=16 => return self.column_scan::<16>(point, k),
+            17..=COLUMN_SCAN_MAX_K => return self.column_scan::<COLUMN_SCAN_MAX_K>(point, k),
+            _ => {}
         }
-        let p_norm = point.iter().map(|v| v * v).sum::<f64>().sqrt();
         let mut best = (0usize, f64::INFINITY);
-        let mut pruned = 0u64;
-        for c in 0..self.norms.len() {
-            if best.1.is_finite() {
-                let gap = (p_norm - self.norms[c]).abs()
-                    - NORM_GAP_MARGIN * (p_norm + self.norms[c]);
-                if gap > 0.0 && gap * gap * LB_DEFLATE >= best.1 {
-                    pruned += 1;
-                    continue;
+        let mut c = 0;
+        while c + 4 <= k {
+            let dists = self.sq_dist4(point, c);
+            for (lane, d) in dists.into_iter().enumerate() {
+                if d < best.1 {
+                    best = (c + lane, d);
                 }
             }
-            let d = sq_dist(point, self.row(c));
+            c += 4;
+        }
+        for tail in c..k {
+            let d = sq_dist(point, self.row(tail));
             if d < best.1 {
-                best = (c, d);
+                best = (tail, d);
             }
         }
-        falcc_telemetry::counters::ONLINE_PRUNED_CANDIDATES.add(pruned);
         best.0
     }
 }
@@ -286,12 +224,11 @@ mod tests {
     }
 
     #[test]
-    fn nearest_is_bit_identical_to_predict_pruned() {
+    fn nearest_is_bit_identical_to_predict() {
         for (k, d, seed) in [(1usize, 2usize, 1u64), (4, 3, 2), (9, 5, 3), (16, 1, 4)] {
             let points = random_points(240, d, seed);
             let model = KMeans::new(k, seed).fit(&points);
             let matrix = CentroidMatrix::from_model(&model);
-            let norms = model.centroid_norms();
             assert_eq!(matrix.k(), model.k());
             assert_eq!(matrix.n_cols(), d);
 
@@ -299,14 +236,14 @@ mod tests {
             for i in 0..queries.n_rows {
                 let q = queries.row(i);
                 assert_eq!(
-                    model.predict_pruned(q, &norms),
+                    model.predict(q),
                     matrix.nearest(q),
                     "divergence at k={k} d={d} seed={seed} query {i}"
                 );
             }
             // Centroids on their own positions too (zero-distance path).
             for c in 0..model.k() {
-                assert_eq!(model.predict_pruned(matrix.row(c), &norms), matrix.nearest(matrix.row(c)));
+                assert_eq!(model.predict(matrix.row(c)), matrix.nearest(matrix.row(c)));
             }
         }
     }
@@ -316,19 +253,15 @@ mod tests {
         let points = random_points(160, 3, 21);
         let model = KMeans::new(6, 21).fit(&points);
         let matrix = CentroidMatrix::from_model(&model);
-        let rebuilt = CentroidMatrix::from_raw(
-            matrix.data().to_vec(),
-            matrix.norms().to_vec(),
-            matrix.n_cols(),
-        )
-        .unwrap();
+        let rebuilt =
+            CentroidMatrix::from_raw(matrix.data().to_vec(), matrix.k(), matrix.n_cols()).unwrap();
         assert_eq!(rebuilt, matrix, "raw parts must reproduce the full matrix");
         let queries = random_points(80, 3, 22);
         for i in 0..queries.n_rows {
             assert_eq!(matrix.nearest(queries.row(i)), rebuilt.nearest(queries.row(i)));
         }
-        assert!(CentroidMatrix::from_raw(vec![0.0; 5], vec![1.0; 2], 3).is_err());
-        assert!(CentroidMatrix::from_raw(Vec::new(), Vec::new(), 3).is_err());
+        assert!(CentroidMatrix::from_raw(vec![0.0; 5], 2, 3).is_err());
+        assert!(CentroidMatrix::from_raw(Vec::new(), 0, 3).is_err());
     }
 
     #[test]

@@ -22,8 +22,7 @@
 //!
 //! The textbook `‖x−c‖² = ‖x‖² − 2x·c + ‖c‖²` expansion is deliberately
 //! *not* used in the distance path: it changes float summation order and
-//! therefore the bits. Cached norms are instead used only for *pruning*
-//! (see [`KMeansModel::predict_pruned`]), which never changes the result.
+//! therefore the bits.
 
 use falcc_dataset::dataset::ProjectedMatrix;
 use rand::rngs::StdRng;
@@ -37,11 +36,6 @@ use rand::SeedableRng;
 pub(crate) const LB_DEFLATE: f64 = 1.0 - 1e-10;
 /// Inflation applied to computed centroid movements (same reasoning).
 const MOVE_INFLATE: f64 = 1.0 + 1e-10;
-/// Absolute margin, scaled by the norm magnitudes, subtracted from the
-/// norm-gap prefilter in [`KMeansModel::predict_pruned`]. The gap's float
-/// error is relative to the *norms* rather than the gap itself, so a
-/// purely relative deflation would not be conservative.
-pub(crate) const NORM_GAP_MARGIN: f64 = 1e-10;
 
 /// k-means trainer configuration.
 #[derive(Debug, Clone, Copy)]
@@ -58,8 +52,8 @@ pub struct KMeans {
     /// RNG seed (k-means++ sampling).
     pub seed: u64,
     /// Use the Hamerly-style bounded Lloyd kernel. Bit-identical to the
-    /// naive kernel (see the module docs); `false` exists for the
-    /// equivalence harness and benchmarks.
+    /// naive kernel (see the module docs); `false` selects the naive
+    /// reference the equivalence proptests compare against.
     pub bounds: bool,
 }
 
@@ -85,33 +79,12 @@ impl KMeans {
         best.expect("at least one restart")
     }
 
-    /// Runs a single Lloyd descent from the given initial centroids — the
-    /// warm-start entry point used by LOG-Means to reuse converged
-    /// centroids across consecutive `k` values.
-    ///
-    /// # Panics
-    /// Panics if `init` is empty, `x` has no rows, or dimensionalities
-    /// disagree.
-    pub fn fit_from(&self, x: &ProjectedMatrix, init: Vec<Vec<f64>>) -> KMeansModel {
-        assert!(!init.is_empty(), "warm start needs at least one centroid");
-        assert!(x.n_rows > 0, "cannot cluster an empty matrix");
-        assert!(
-            init.iter().all(|c| c.len() == x.n_cols),
-            "centroid dimensionality must match the matrix"
-        );
-        self.lloyd(x, init)
-    }
-
     fn fit_once(&self, x: &ProjectedMatrix, seed: u64) -> KMeansModel {
         assert!(self.k > 0, "k must be positive");
         assert!(x.n_rows > 0, "cannot cluster an empty matrix");
         let k = self.k.min(x.n_rows);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
         let centroids = plus_plus_init(x, k, &mut rng);
-        self.lloyd(x, centroids)
-    }
-
-    fn lloyd(&self, x: &ProjectedMatrix, centroids: Vec<Vec<f64>>) -> KMeansModel {
         if self.bounds {
             self.lloyd_bounded(x, centroids)
         } else {
@@ -334,57 +307,6 @@ impl KMeansModel {
         nearest_centroid(point, &self.centroids).0
     }
 
-    /// Euclidean norms of the centroids, computed once per fitted model
-    /// and fed to [`Self::predict_pruned`] by the online serving path.
-    pub fn centroid_norms(&self) -> Vec<f64> {
-        self.centroids
-            .iter()
-            .map(|c| c.iter().map(|v| v * v).sum::<f64>().sqrt())
-            .collect()
-    }
-
-    /// [`Self::predict`] with two exactness-preserving prunes: a cached
-    /// norm-gap prefilter (`(‖p‖−‖c‖)² ≤ ‖p−c‖²`, conservatively
-    /// margined) that skips hopeless centroids without touching their
-    /// coordinates, and an early-exit distance loop that abandons a
-    /// candidate as soon as its partial sum reaches the incumbent (prefix
-    /// sums of nonnegative rounded terms are nondecreasing, so the full
-    /// sum could not have won). Returns exactly `self.predict(point)`.
-    ///
-    /// # Panics
-    /// Panics if `point` or `centroid_norms` have the wrong length.
-    pub fn predict_pruned(&self, point: &[f64], centroid_norms: &[f64]) -> usize {
-        assert_eq!(
-            point.len(),
-            self.centroids[0].len(),
-            "point dimensionality must match centroids"
-        );
-        assert_eq!(centroid_norms.len(), self.k(), "one cached norm per centroid");
-        let p_norm = point.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let mut best = (0usize, f64::INFINITY);
-        let mut pruned = 0u64;
-        for (c, centroid) in self.centroids.iter().enumerate() {
-            if best.1.is_finite() {
-                let gap = (p_norm - centroid_norms[c]).abs()
-                    - NORM_GAP_MARGIN * (p_norm + centroid_norms[c]);
-                if gap > 0.0 && gap * gap * LB_DEFLATE >= best.1 {
-                    pruned += 1;
-                    continue;
-                }
-            }
-            // Plain strict-improvement scan: at FALCC's projection widths
-            // the per-chunk cutoff branch of `sq_dist_within` costs more
-            // than the arithmetic it saves, and `d < best` is the same
-            // test the early exit performs.
-            let d = sq_dist(point, centroid);
-            if d < best.1 {
-                best = (c, d);
-            }
-        }
-        falcc_telemetry::counters::ONLINE_PRUNED_CANDIDATES.add(pruned);
-        best.0
-    }
-
     /// Per-cluster row-index lists (into the training matrix).
     pub fn cluster_members(&self) -> Vec<Vec<usize>> {
         let mut members = vec![Vec::new(); self.k()];
@@ -426,56 +348,9 @@ fn plus_plus_init(x: &ProjectedMatrix, k: usize, rng: &mut StdRng) -> Vec<Vec<f6
     centroids
 }
 
-/// Extends a centroid set to `k` centroids by repeatedly adding the row
-/// farthest from its nearest centroid (deterministic farthest-point
-/// traversal) — used to adapt warm-start centroids across `k` values.
-pub fn extend_centroids(x: &ProjectedMatrix, mut centroids: Vec<Vec<f64>>, k: usize) -> Vec<Vec<f64>> {
-    assert!(!centroids.is_empty(), "need at least one centroid to extend");
-    let mut min_dist: Vec<f64> = (0..x.n_rows)
-        .map(|i| {
-            centroids
-                .iter()
-                .map(|c| sq_dist(x.row(i), c))
-                .fold(f64::INFINITY, f64::min)
-        })
-        .collect();
-    while centroids.len() < k.min(x.n_rows.max(1)) {
-        let far = (0..x.n_rows)
-            .max_by(|&a, &b| min_dist[a].total_cmp(&min_dist[b]))
-            .unwrap_or(0);
-        let c = x.row(far).to_vec();
-        for (i, md) in min_dist.iter_mut().enumerate() {
-            *md = md.min(sq_dist(x.row(i), &c));
-        }
-        centroids.push(c);
-    }
-    centroids
-}
-
 #[inline]
 pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// Squared distance with an early exit: returns `None` as soon as a
-/// partial prefix reaches `cutoff`. Because the summands are nonnegative
-/// and round-to-nearest is monotone, prefix sums never decrease, so
-/// `None` proves the fully-summed distance would satisfy `d >= cutoff` —
-/// and a `Some(d)` is summed in exactly [`sq_dist`]'s order, so callers
-/// that update a strict incumbent get **bit-identical** results to a
-/// full-scan argmin.
-#[inline]
-pub(crate) fn sq_dist_within(a: &[f64], b: &[f64], cutoff: f64) -> Option<f64> {
-    let mut acc = 0.0;
-    for (ca, cb) in a.chunks(8).zip(b.chunks(8)) {
-        for (x, y) in ca.iter().zip(cb) {
-            acc += (x - y) * (x - y);
-        }
-        if acc >= cutoff {
-            return None;
-        }
-    }
-    Some(acc)
 }
 
 #[inline]
@@ -590,39 +465,6 @@ mod tests {
                 assert_eq!(fast.sse.to_bits(), naive.sse.to_bits(), "k={k} seed={seed}");
             }
         }
-    }
-
-    #[test]
-    fn predict_pruned_matches_predict() {
-        let x = blobs(30, &[(0.0, 0.0), (6.0, 6.0), (0.0, 6.0)], 1.2, 6);
-        let model = KMeans::new(3, 5).fit(&x);
-        let norms = model.centroid_norms();
-        for i in 0..x.n_rows {
-            let p = x.row(i);
-            assert_eq!(model.predict_pruned(p, &norms), model.predict(p));
-        }
-        for probe in [[0.0, 0.0], [3.0, 3.0], [6.0, 6.0], [-2.0, 8.0]] {
-            assert_eq!(model.predict_pruned(&probe, &norms), model.predict(&probe));
-        }
-    }
-
-    #[test]
-    fn warm_start_from_converged_centroids_keeps_sse() {
-        let x = blobs(30, &[(0.0, 0.0), (7.0, 7.0)], 0.8, 8);
-        let cold = KMeans::new(2, 9).fit(&x);
-        let warm = KMeans::new(2, 9).fit_from(&x, cold.centroids.clone());
-        assert!(warm.sse <= cold.sse + 1e-9, "warm {} vs cold {}", warm.sse, cold.sse);
-    }
-
-    #[test]
-    fn extend_centroids_reaches_requested_k() {
-        let x = blobs(20, &[(0.0, 0.0), (5.0, 5.0), (9.0, 1.0)], 0.5, 10);
-        let base = KMeans::new(2, 3).fit(&x);
-        let extended = extend_centroids(&x, base.centroids.clone(), 5);
-        assert_eq!(extended.len(), 5);
-        // The first two are the originals, untouched.
-        assert_eq!(extended[0], base.centroids[0]);
-        assert_eq!(extended[1], base.centroids[1]);
     }
 
     #[test]

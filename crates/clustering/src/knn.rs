@@ -12,16 +12,24 @@
 //! the dataset sizes in the paper (≤ 72k rows, ≤ 91 dims) this is
 //! comfortably fast while remaining dependency-free.
 //!
-//! Leaf scans carry two exactness-preserving prunes (see the `kmeans`
-//! module docs for the shared reasoning): a cached norm-gap prefilter
-//! that skips points whose `(‖q‖−‖p‖)²` lower bound already exceeds the
+//! Leaf scans carry two exactness-preserving prunes: a cached norm-gap
+//! prefilter that skips points whose `(‖q‖−‖p‖)²` lower bound (reverse
+//! triangle inequality, conservatively margined) already reaches the
 //! incumbent k-th distance, and an early-exit distance accumulation.
-//! Both leave the result **bit-identical** to the unpruned scan
-//! ([`KdTree::nearest_reference`] keeps that reference path alive for the
-//! equivalence tests and benchmarks).
+//! Norms only *prune*: every surviving point gets the exact [`sq_dist`]
+//! summation, never the `‖q‖² − 2q·p + ‖p‖²` expansion, which would
+//! change the floats. Both prunes leave the result **bit-identical** to
+//! the unpruned scan ([`KdTree::nearest_reference`] keeps that reference
+//! path alive for the equivalence tests).
 
-use crate::kmeans::{sq_dist, sq_dist_within, LB_DEFLATE, NORM_GAP_MARGIN};
+use crate::kmeans::{sq_dist, LB_DEFLATE};
 use falcc_dataset::dataset::ProjectedMatrix;
+
+/// Absolute margin, scaled by the norm magnitudes, subtracted from the
+/// leaf-scan norm-gap prefilter. The gap's float error is relative to the
+/// *norms* rather than the gap itself, so a purely relative deflation
+/// would not be conservative.
+const NORM_GAP_MARGIN: f64 = 1e-10;
 
 /// A kd-tree over the rows of a [`ProjectedMatrix`].
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -168,7 +176,7 @@ impl KdTree {
     }
 
     /// [`Self::nearest`] without the leaf-scan prunes — the naive
-    /// reference the equivalence tests and `exp_kernels` compare against.
+    /// reference the equivalence tests compare against.
     pub fn nearest_reference(&self, query: &[f64], k: usize) -> Vec<(usize, f64)> {
         assert_eq!(query.len(), self.points.n_cols, "query dimensionality mismatch");
         let Some(root) = self.root else { return Vec::new() };
@@ -262,75 +270,25 @@ impl KdTree {
     }
 }
 
-/// A brute-force kNN index over a point matrix with cached norms — the
-/// right tool when queries are few or the data is too high-dimensional
-/// for the kd-tree to prune well. [`Self::nearest`] replaces the full
-/// sort with a `select_nth_unstable` top-k; both paths order candidates
-/// by the total order `(distance, index)`, so their outputs are
-/// **identical**, element for element.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct BruteKnn {
-    points: ProjectedMatrix,
-    norms: Vec<f64>,
-}
-
-impl BruteKnn {
-    /// Builds the index (computes the per-point norms) over all rows.
-    pub fn build(points: ProjectedMatrix) -> Self {
-        let norms = (0..points.n_rows)
-            .map(|i| points.row(i).iter().map(|v| v * v).sum::<f64>().sqrt())
-            .collect();
-        Self { points, norms }
-    }
-
-    /// Number of indexed points.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.points.n_rows
-    }
-
-    /// `true` when no points are indexed.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.points.n_rows == 0
-    }
-
-    fn distances(&self, query: &[f64]) -> Vec<(usize, f64)> {
-        assert_eq!(query.len(), self.points.n_cols, "query dimensionality mismatch");
-        (0..self.points.n_rows)
-            .map(|i| (i, sq_dist(query, self.points.row(i))))
-            .collect()
-    }
-
-    /// The `k` nearest neighbours as `(index, squared distance)`, sorted
-    /// ascending with ties broken by index: full-sort reference kernel.
-    pub fn nearest_naive(&self, query: &[f64], k: usize) -> Vec<(usize, f64)> {
-        let mut all = self.distances(query);
-        all.sort_by(cmp_dist_idx);
-        all.truncate(k);
-        all
-    }
-
-    /// The `k` nearest neighbours, identical to [`Self::nearest_naive`]
-    /// but selecting the top-k in O(n) before sorting only that prefix.
-    pub fn nearest(&self, query: &[f64], k: usize) -> Vec<(usize, f64)> {
-        let mut all = self.distances(query);
-        if k == 0 {
-            return Vec::new();
+/// Squared distance with an early exit: returns `None` as soon as a
+/// partial prefix reaches `cutoff`. Because the summands are nonnegative
+/// and round-to-nearest is monotone, prefix sums never decrease, so
+/// `None` proves the fully-summed distance would satisfy `d >= cutoff` —
+/// and a `Some(d)` is summed in exactly [`sq_dist`]'s order, so callers
+/// that update a strict incumbent get **bit-identical** results to a
+/// full-scan argmin.
+#[inline]
+fn sq_dist_within(a: &[f64], b: &[f64], cutoff: f64) -> Option<f64> {
+    let mut acc = 0.0;
+    for (ca, cb) in a.chunks(8).zip(b.chunks(8)) {
+        for (x, y) in ca.iter().zip(cb) {
+            acc += (x - y) * (x - y);
         }
-        if k < all.len() {
-            all.select_nth_unstable_by(k - 1, cmp_dist_idx);
-            all.truncate(k);
+        if acc >= cutoff {
+            return None;
         }
-        all.sort_by(cmp_dist_idx);
-        all
     }
-}
-
-/// Total order on `(index, squared distance)` pairs: distance first,
-/// index as the tie-break.
-fn cmp_dist_idx(a: &(usize, f64), b: &(usize, f64)) -> std::cmp::Ordering {
-    a.1.partial_cmp(&b.1).expect("distances are finite").then(a.0.cmp(&b.0))
+    Some(acc)
 }
 
 /// Fixed-capacity max-heap keeping the k smallest distances seen.

@@ -19,5 +19,5 @@ pub mod knn;
 
 pub use estimate::{elbow_k, log_means, KEstimateConfig};
 pub use flat::CentroidMatrix;
-pub use kmeans::{extend_centroids, KMeans, KMeansModel};
-pub use knn::{BruteKnn, KdTree};
+pub use kmeans::{KMeans, KMeansModel};
+pub use knn::KdTree;

@@ -1,14 +1,14 @@
 //! Proof-of-equivalence suite for the clustering fast paths: the bounded
-//! Lloyd kernel, the norm-pruned nearest-centroid scan, the select-based
-//! brute-force top-k, and the norm-pruned kd-tree search must all return
-//! *bit-identical* results to their naive references on arbitrary data.
+//! Lloyd kernel, the serving plane's flat nearest-centroid scan, and the
+//! norm-pruned kd-tree search must all return *bit-identical* results to
+//! their naive references on arbitrary data.
 //!
 //! These complement the unit tests inside the crate: proptest drives the
 //! geometry into the regimes where a sloppy bound would flip a result —
 //! duplicated points (distance ties), near-equal norms (prefilter
 //! margins), and degenerate k.
 
-use falcc_clustering::{log_means, BruteKnn, KEstimateConfig, KMeans, KdTree};
+use falcc_clustering::{log_means, CentroidMatrix, KEstimateConfig, KMeans, KMeansModel, KdTree};
 use falcc_dataset::dataset::ProjectedMatrix;
 use proptest::prelude::*;
 
@@ -41,26 +41,19 @@ proptest! {
     }
 
     #[test]
-    fn predict_pruned_is_bit_identical(x in tied_matrix(), k in 1usize..9,
-                                       seed in 0u64..500) {
-        let model = KMeans::new(k, seed).fit(&x);
-        let norms = model.centroid_norms();
+    fn centroid_matrix_nearest_is_bit_identical_to_predict(
+        x in tied_matrix(), k in 1usize..=40, first in 0usize..60,
+    ) {
+        // Centroids are grid rows (cycling, so repeats whenever k exceeds
+        // the row count), which makes exact ties common at every k —
+        // zero-distance duplicates and equidistant grid neighbours — so
+        // every column-scan width (k ≤ 4, 8, 16, 32) and the row-major
+        // sweep past 32 must break them like `predict`: first centroid wins.
+        let centroids = (0..k).map(|c| x.row((first + c) % x.n_rows).to_vec()).collect();
+        let model = KMeansModel { centroids, assignments: Vec::new(), sse: 0.0 };
+        let matrix = CentroidMatrix::from_model(&model);
         for i in 0..x.n_rows {
-            prop_assert_eq!(
-                model.predict_pruned(x.row(i), &norms),
-                model.predict(x.row(i))
-            );
-        }
-    }
-
-    #[test]
-    fn brute_knn_select_equals_full_sort(x in tied_matrix(), k in 1usize..12) {
-        let index = BruteKnn::build(x.clone());
-        for i in 0..x.n_rows {
-            prop_assert_eq!(
-                index.nearest(x.row(i), k),
-                index.nearest_naive(x.row(i), k)
-            );
+            prop_assert_eq!(matrix.nearest(x.row(i)), model.predict(x.row(i)));
         }
     }
 
@@ -83,28 +76,32 @@ proptest! {
         // traversal reached first, so neighbour *identities* can differ
         // from a global index-ordered ranking — but the distance profile
         // cannot, the filter must hold, and each reported distance must be
-        // the true distance to that point.
+        // the true distance to that point. The oracle is a full sort of
+        // every accepted point by (distance, index).
         let tree = KdTree::build(x.clone());
-        let brute = BruteKnn::build(x.clone());
+        let dist = |i: usize, j: usize| -> f64 {
+            x.row(i).iter().zip(x.row(j)).map(|(a, b)| (a - b) * (a - b)).sum()
+        };
         for i in 0..x.n_rows.min(20) {
             let filtered = tree.nearest_filtered(x.row(i), k, |j| j % modulo == 0);
-            let mut reference = brute.nearest_naive(x.row(i), x.n_rows);
-            reference.retain(|&(j, _)| j % modulo == 0);
+            let mut reference: Vec<(usize, f64)> = (0..x.n_rows)
+                .filter(|j| j % modulo == 0)
+                .map(|j| (j, dist(i, j)))
+                .collect();
+            reference.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
             reference.truncate(k);
             let dist_profile: Vec<f64> = filtered.iter().map(|&(_, d)| d).collect();
             let expected: Vec<f64> = reference.iter().map(|&(_, d)| d).collect();
             prop_assert_eq!(dist_profile, expected);
             for &(j, d) in &filtered {
                 prop_assert!(j % modulo == 0, "filter violated for {j}");
-                let truth: f64 = x.row(i).iter().zip(x.row(j))
-                    .map(|(a, b)| (a - b) * (a - b)).sum();
-                prop_assert_eq!(d.to_bits(), truth.to_bits());
+                prop_assert_eq!(d.to_bits(), dist(i, j).to_bits());
             }
         }
     }
 
     #[test]
-    fn warm_started_log_means_is_deterministic_and_in_range(
+    fn log_means_is_deterministic_and_in_range(
         x in tied_matrix(), seed in 0u64..200,
     ) {
         let cfg = KEstimateConfig::for_rows(x.n_rows, seed);

@@ -1,4 +1,4 @@
-//! Binary serving artifacts (v3): the compiled plane, persisted.
+//! Binary serving artifacts (v4): the compiled plane, persisted.
 //!
 //! [`crate::persist`] ships fitted models as JSON — robust and
 //! diff-friendly, but every serving start pays for parsing the text
@@ -13,23 +13,25 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       8     magic  "falccbv3"
-//! 8       4     format version (little-endian u32, currently 3)
-//! 12      4     section count (always 12)
+//! 0       8     magic  "falccbv3" (unchanged since v3, so an older
+//!               file reads as version skew, not as damage)
+//! 8       4     format version (little-endian u32, currently 4)
+//! 12      4     section count (always 11)
 //! 16      8     source fingerprint: FNV-1a-64 of the JSON snapshot's
 //!               on-disk bytes this artifact was compiled from
 //! 24      8     file checksum: FNV-1a-64 of every byte from offset 32
-//! 32      12×32 section table; per entry:
+//! 32      11×32 section table; per entry:
 //!               {id u32, kind u32, offset u64, len u64, checksum u64}
 //! ...           section bodies, each at an 8-aligned offset, padded
 //!               with zeros between sections
 //! ```
 //!
 //! Sections, in fixed id order: the JSON metadata blob (schema, group
-//! index, proxy projection, name, shape, opaque member specs), the four
-//! node-arena slabs, member footprints/records/payloads, the centroid
-//! data + norms, and the dispatch table. Numeric sections are raw
-//! little-endian `f64`/`u32` runs whose length must divide 8 / 4.
+//! index, proxy projection, name, shape including the region count `k`,
+//! opaque member specs), the four node-arena slabs, member
+//! footprints/records/payloads, the centroid data, and the dispatch
+//! table. Numeric sections are raw little-endian `f64`/`u32` runs whose
+//! length must divide 8 / 4.
 //!
 //! ## Validation
 //!
@@ -78,7 +80,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Current artifact format version.
-pub const ARTIFACT_VERSION: u32 = 3;
+pub const ARTIFACT_VERSION: u32 = 4;
 
 /// File extension serving callers probe for next to a JSON snapshot.
 pub const ARTIFACT_EXTENSION: &str = "falccb";
@@ -86,7 +88,7 @@ pub const ARTIFACT_EXTENSION: &str = "falccb";
 const MAGIC: [u8; 8] = *b"falccbv3";
 const HEADER_LEN: usize = 32;
 const ENTRY_LEN: usize = 32;
-const N_SECTIONS: usize = 12;
+const N_SECTIONS: usize = 11;
 
 /// Section kinds: raw little-endian `f64` slab, `u32` slab, or opaque
 /// bytes (the JSON metadata blob).
@@ -105,8 +107,7 @@ const S_MEMBER_RECS: usize = 6;
 const S_MEMBER_U32: usize = 7;
 const S_MEMBER_F64: usize = 8;
 const S_CENTROID_DATA: usize = 9;
-const S_CENTROID_NORMS: usize = 10;
-const S_DISPATCH: usize = 11;
+const S_DISPATCH: usize = 10;
 
 /// Expected kind of each section id.
 fn kind_of(id: usize) -> u32 {
@@ -134,6 +135,8 @@ struct ArtifactMeta {
     proxy: ProxyOutcome,
     name: String,
     n_groups: u32,
+    /// Number of regions (centroids).
+    k: u32,
     n_cols: u32,
     opaque_specs: Vec<ModelSpec>,
 }
@@ -358,7 +361,7 @@ impl CompiledModelBuf {
             .map_err(|d| corrupt(format!("pool slabs rejected: {d}")))?;
         let centroids = CentroidMatrix::from_raw(
             decode_f64(self.section(S_CENTROID_DATA)),
-            decode_f64(self.section(S_CENTROID_NORMS)),
+            meta.k as usize,
             meta.n_cols as usize,
         )
         .map_err(|d| corrupt(format!("centroid slab rejected: {d}")))?;
@@ -427,7 +430,7 @@ impl CompiledModelBuf {
 }
 
 impl CompiledModel {
-    /// Serialises the compiled plane into the v3 binary container.
+    /// Serialises the compiled plane into the v4 binary container.
     /// `source_fingerprint` is the FNV-1a-64 hash of the JSON snapshot's
     /// on-disk bytes this plane was compiled from (0 for a free-standing
     /// artifact).
@@ -446,6 +449,7 @@ impl CompiledModel {
             proxy: self.meta.proxy.clone(),
             name: self.meta.name.clone(),
             n_groups: self.n_groups as u32,
+            k: self.centroids.k() as u32,
             n_cols: self.centroids.n_cols() as u32,
             opaque_specs,
         };
@@ -463,7 +467,6 @@ impl CompiledModel {
             encode_u32(&parts.member_u32),
             encode_f64(&parts.member_f64),
             encode_f64(self.centroids.data()),
-            encode_f64(self.centroids.norms()),
             encode_u32(&self.dispatch),
         ];
         let table_end = HEADER_LEN + N_SECTIONS * ENTRY_LEN;
@@ -609,6 +612,13 @@ mod tests {
         assert!(matches!(
             CompiledModelBuf::from_bytes(skewed),
             Err(FalccError::ArtifactVersionSkew { found: 99, expected: ARTIFACT_VERSION })
+        ));
+        // The magic is shared with v3, so a v3 file is version skew too.
+        let mut v3 = bytes.clone();
+        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+        assert!(matches!(
+            CompiledModelBuf::from_bytes(v3),
+            Err(FalccError::ArtifactVersionSkew { found: 3, expected: ARTIFACT_VERSION })
         ));
 
         let mut bad_magic = bytes.clone();

@@ -11,7 +11,8 @@
 //!   loop, ensembles share one node arena with per-tree offsets, and
 //!   linear/Bayes members get dense parameter slabs.
 //! * **Flat region match** — the centroids move into one contiguous
-//!   [`falcc_clustering::CentroidMatrix`] reusing the norm-pruned scan.
+//!   [`falcc_clustering::CentroidMatrix`], scanned with the same exact
+//!   distances and tie-break as the interpreted match.
 //! * **Deduplicated dispatch** — `dispatch[region · n_groups + group]`
 //!   maps straight to a compiled-member id; a pool member referenced by
 //!   many (region, group) cells is compiled exactly once
@@ -113,9 +114,7 @@ impl FalccModel {
             }
         }
         let pool = FlatPool::compile(&reachable);
-        // The fitted model already caches the centroid norms — adopt them
-        // instead of recomputing the k × d sweep a second time.
-        let centroids = CentroidMatrix::with_norms(self.kmeans(), self.centroid_norms().to_vec());
+        let centroids = CentroidMatrix::from_model(self.kmeans());
         falcc_telemetry::counters::SERVE_COMPILE_NS.add(t0.elapsed().as_nanos() as u64);
         falcc_telemetry::gauges::SERVE_DEDUP_MODELS.set(pool.len() as u64);
         CompiledModel {

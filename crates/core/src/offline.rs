@@ -65,10 +65,6 @@ pub struct FalccModel {
     /// time; a throughput knob only — predictions are identical for every
     /// value.
     pub(crate) threads: usize,
-    /// Euclidean norm of each centroid, cached once per fitted model for
-    /// the online nearest-centroid prune. Derived state — recomputed on
-    /// restore, never serialised.
-    pub(crate) centroid_norms: Vec<f64>,
     /// Fault-injection schedule carried over from the fitting config so
     /// the online phase honours [`FaultSite::NonFiniteRow`] injections.
     /// Empty in production; never serialised (restored models get the
@@ -518,7 +514,6 @@ impl FalccModel {
         // serve, fallbacks included.
         let baseline = MonitorBaseline::compute(&kmeans, validation, &preds, &combos, n_groups);
 
-        let centroid_norms = kmeans.centroid_norms();
         Ok(Self {
             schema: validation.schema().clone(),
             pool,
@@ -529,7 +524,6 @@ impl FalccModel {
             loss: config.loss,
             name: "FALCC".to_string(),
             threads: config.threads,
-            centroid_norms,
             faults: config.faults.clone(),
             baseline,
         })
@@ -612,10 +606,6 @@ impl FalccModel {
 
     pub(crate) fn kmeans(&self) -> &KMeansModel {
         &self.kmeans
-    }
-
-    pub(crate) fn centroid_norms(&self) -> &[f64] {
-        &self.centroid_norms
     }
 
     pub(crate) fn group_index(&self) -> &falcc_dataset::GroupIndex {

@@ -78,10 +78,7 @@ impl FalccModel {
     /// bias on the test set with FALCC's own regions.
     pub fn assign_region(&self, row: &[f64]) -> usize {
         let projected = self.proxy_outcome().project_row(row);
-        // Norm-pruned nearest-centroid match: bit-identical to
-        // `kmeans().predict(..)` (see the clustering crate's kmeans docs),
-        // just cheaper per sample.
-        self.kmeans().predict_pruned(&projected, self.centroid_norms())
+        self.kmeans().predict(&projected)
     }
 
     /// The full online phase for one sample.
@@ -176,12 +173,12 @@ impl FalccModel {
         // times it. The disabled path never reads the clock.
         let cluster = if falcc_telemetry::enabled() {
             let t0 = std::time::Instant::now();
-            let cluster = self.kmeans().predict_pruned(projected, self.centroid_norms());
+            let cluster = self.kmeans().predict(projected);
             falcc_telemetry::histograms::ONLINE_MATCH_NS.record_ns(t0.elapsed());
             falcc_telemetry::counters::ONLINE_SAMPLES.incr();
             cluster
         } else {
-            self.kmeans().predict_pruned(projected, self.centroid_norms())
+            self.kmeans().predict(projected)
         };
         let model_idx = self.combo(cluster)[group.index()];
         (self.pool().models[model_idx].model.predict_row(row), cluster)

@@ -113,33 +113,6 @@ impl SavedFalccModel {
             .into_iter()
             .map(|(spec, group)| TrainedModel { model: spec.into_classifier(), group })
             .collect();
-        // Derived caches are rebuilt, not deserialised, so snapshots stay
-        // format-stable across cache changes.
-        let centroid_norms = self.kmeans.centroid_norms();
-        falcc_telemetry::counters::PERSIST_NORMS_RECOMPUTED.add(centroid_norms.len() as u64);
-        if falcc_telemetry::enabled() {
-            falcc_telemetry::event(
-                "persist.restore",
-                format!(
-                    "recomputed {} centroid norms for '{}' (k={}, pool={})",
-                    centroid_norms.len(),
-                    self.name,
-                    self.kmeans.k(),
-                    models.len(),
-                ),
-            );
-        }
-        debug_assert_eq!(
-            centroid_norms.len(),
-            self.kmeans.k(),
-            "one recomputed norm per persisted centroid"
-        );
-        debug_assert!(
-            self.kmeans.centroids.iter().zip(&centroid_norms).all(|(c, &n)| {
-                n.is_finite() && n.to_bits() == c.iter().map(|v| v * v).sum::<f64>().sqrt().to_bits()
-            }),
-            "recomputed centroid norms must match the persisted centroids bit-for-bit"
-        );
         FalccModel {
             schema: self.schema,
             pool: ModelPool::from_models(models),
@@ -152,7 +125,6 @@ impl SavedFalccModel {
             threads: 0,
             loss: self.loss,
             name: self.name,
-            centroid_norms,
             // Fault schedules are a test-harness concern, never part of a
             // shipped model.
             faults: crate::faults::FaultPlan::default(),

@@ -5,11 +5,12 @@
 //! any input — valid, malformed, or fault-injected — every entry point
 //! returns exactly the same `Result<u8, RowFault>` sequence, at every
 //! thread count. This suite pins that promise over randomised pools,
-//! region counts, rows, and batch compositions.
+//! region counts, rows, and batch compositions, and checks every plane
+//! against a brute-force oracle of the paper's online phase.
 
 use std::sync::OnceLock;
 
-use falcc::{ClusterSpec, FairClassifier, FalccConfig, FalccModel, FaultPlan};
+use falcc::{ClusterSpec, FairClassifier, FalccConfig, FalccModel, FaultPlan, RowFault};
 use falcc_dataset::synthetic::{generate, SyntheticConfig};
 use falcc_dataset::{SplitRatios, ThreeWaySplit};
 use falcc_models::{ModelPool, PoolConfig, TrainerKind};
@@ -34,9 +35,10 @@ fn config(seed: u64, k: usize, trainer: TrainerKind, pool_size: usize) -> FalccC
 }
 
 /// Fitted fixtures spanning the model-family and region-count space:
-/// boosted and bagged grid pools at different `k`, plus the
-/// `standard_five` pool (tree, AdaBoost, logistic, Bayes, kNN) so every
-/// flat member kind — including the kNN/opaque fallback — serves rows.
+/// boosted and bagged grid pools at different `k`, the `standard_five`
+/// pool (tree, AdaBoost, logistic, Bayes, kNN) so every flat member
+/// kind — including the kNN/opaque fallback — serves rows, and a
+/// LOG-Means fit so the estimated-k path runs end to end.
 fn fixtures() -> &'static Vec<(FalccModel, ThreeWaySplit)> {
     static FIXTURES: OnceLock<Vec<(FalccModel, ThreeWaySplit)>> = OnceLock::new();
     FIXTURES.get_or_init(|| {
@@ -58,6 +60,13 @@ fn fixtures() -> &'static Vec<(FalccModel, ThreeWaySplit)> {
         let cfg = config(44, 3, TrainerKind::AdaBoost, 0);
         let model = FalccModel::fit_with_pool(&split.validation, pool, &cfg)
             .expect("fit_with_pool");
+        out.push((model, split));
+        let split = split_of(900, 45);
+        let cfg = FalccConfig {
+            clustering: ClusterSpec::LogMeans,
+            ..config(45, 0, TrainerKind::AdaBoost, 3)
+        };
+        let model = FalccModel::fit(&split.train, &split.validation, &cfg).expect("fit");
         out.push((model, split));
         out
     })
@@ -213,7 +222,7 @@ proptest::proptest! {
     // row's verdict must equal the single-row paths of both planes.
     #[test]
     fn random_batches_serve_identically(
-        fixture_idx in 0usize..4,
+        fixture_idx in 0usize..5,
         start in 0usize..500,
         len in 1usize..48,
         poison_at in 0usize..48,
@@ -268,4 +277,103 @@ fn artifact_buffers() -> &'static Vec<falcc::CompiledModelBuf> {
             })
             .collect()
     })
+}
+
+/// The paper's online phase (§3.7) as a brute-force oracle built only
+/// from public accessors: project the row, take the first strictly
+/// nearest centroid, and ask the pool member that region's combination
+/// names for the row's sensitive group.
+fn oracle_label(model: &FalccModel, row: &[f64]) -> u8 {
+    let projected = model.proxy_outcome().project_row(row);
+    let mut nearest = (0usize, f64::INFINITY);
+    for (c, centroid) in model.centroids().iter().enumerate() {
+        let d: f64 = projected.iter().zip(centroid).map(|(a, b)| (a - b) * (a - b)).sum();
+        if d < nearest.1 {
+            nearest = (c, d);
+        }
+    }
+    let group = model.schema().group_index().group_of(row).expect("valid row");
+    let member = model.combo(nearest.0)[group.index()];
+    model.pool().models[member].model.predict_row(row)
+}
+
+/// Index of the row every law-test batch poisons through its fault plan.
+const POISONED: usize = 3;
+
+/// Checks one plane's three entry points against the oracle labels.
+fn assert_plane_matches_oracle(
+    at: &str,
+    oracle: &[u8],
+    rows: &[Vec<f64>],
+    try_classify: impl Fn(&[f64]) -> Result<u8, RowFault>,
+    batch: &[Result<u8, RowFault>],
+    dataset: &[u8],
+) {
+    assert_eq!(dataset, oracle, "{at}: predict_dataset");
+    for (i, (row, &expected)) in rows.iter().zip(oracle).enumerate() {
+        assert_eq!(try_classify(row), Ok(expected), "{at}: try_classify row {i}");
+        let served =
+            if i == POISONED { Err(RowFault::NonFinite { column: 0 }) } else { Ok(expected) };
+        assert_eq!(batch[i], served, "{at}: classify_batch row {i}");
+    }
+}
+
+/// Law: every label served by every entry point of every plane —
+/// interpreted, compiled, and artifact-loaded — equals the oracle's, at
+/// every thread count. The row a fault plan poisons is rejected in
+/// batches, and every other row of that batch still matches the oracle.
+#[test]
+fn served_labels_equal_the_nearest_region_oracle() {
+    let env_threads: Option<usize> =
+        std::env::var("FALCC_TEST_THREADS").ok().and_then(|v| v.parse().ok());
+    for (fixture_idx, (model, split)) in fixtures().iter().enumerate() {
+        let rows: Vec<Vec<f64>> =
+            (0..split.test.len()).map(|i| split.test.row(i).to_vec()).collect();
+        let oracle: Vec<u8> = rows.iter().map(|row| oracle_label(model, row)).collect();
+        let mut plan = FaultPlan::default();
+        plan.poison_row(POISONED as u64);
+
+        let mut interpreted = model.clone();
+        interpreted.set_fault_plan(plan.clone());
+        let mut compiled = model.compile();
+        compiled.set_fault_plan(plan.clone());
+        let bytes = compiled.to_artifact_bytes(0).expect("serialise");
+        let mut loaded = falcc::CompiledModelBuf::from_bytes(bytes)
+            .expect("validate")
+            .load()
+            .expect("load");
+        loaded.set_fault_plan(plan);
+
+        for threads in THREAD_COUNTS.into_iter().chain(env_threads) {
+            interpreted.set_threads(threads);
+            compiled.set_threads(threads);
+            loaded.set_threads(threads);
+            let at =
+                |plane: &str| format!("fixture {fixture_idx}, {plane} plane, {threads} threads");
+            assert_plane_matches_oracle(
+                &at("interpreted"),
+                &oracle,
+                &rows,
+                |row| interpreted.try_classify(row),
+                &interpreted.classify_batch(&rows),
+                &interpreted.predict_dataset(&split.test),
+            );
+            assert_plane_matches_oracle(
+                &at("compiled"),
+                &oracle,
+                &rows,
+                |row| compiled.try_classify(row),
+                &compiled.classify_batch(&rows),
+                &compiled.predict_dataset(&split.test),
+            );
+            assert_plane_matches_oracle(
+                &at("artifact"),
+                &oracle,
+                &rows,
+                |row| loaded.try_classify(row),
+                &loaded.classify_batch(&rows),
+                &loaded.predict_dataset(&split.test),
+            );
+        }
+    }
 }

@@ -157,8 +157,8 @@ impl DecisionTree {
 
     /// Reference implementation of [`Self::fit`]: the textbook CART loop
     /// that re-sorts the node's samples for every candidate feature at
-    /// every node. Kept for the equivalence proptests and the
-    /// `exp_kernels` benchmark; produces a bit-identical tree.
+    /// every node. Kept for the equivalence proptests; produces a
+    /// bit-identical tree.
     ///
     /// # Panics
     /// Same conditions as [`Self::fit`].

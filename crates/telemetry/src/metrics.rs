@@ -7,10 +7,10 @@
 //! that were touched (plus previously-touched ones at zero after a
 //! [`crate::reset`]).
 //!
-//! Hot loops should accumulate locally and flush once — e.g.
-//! `predict_pruned` counts skipped centroids in a register and performs a
-//! single [`Counter::add`] per call; Lloyd's algorithm adds its per-fit
-//! totals once per iteration, not per point.
+//! Hot loops should accumulate locally and flush once — e.g. the kd-tree
+//! leaf scan counts scanned and pruned points in registers and performs
+//! one [`Counter::add`] per counter per query; Lloyd's algorithm adds its
+//! per-fit totals once per iteration, not per point.
 //!
 //! The well-known metric names live in [`counters`], [`gauges`], and
 //! [`histograms`]; the catalog (name → unit → where recorded) is
@@ -250,15 +250,9 @@ pub mod counters {
     /// SSE probes evaluated by LOG-Means / the elbow estimator (cache
     /// misses; cache hits are free).
     pub static LOGMEANS_PROBES: Counter = Counter::new("clustering.logmeans_probes");
-    /// Probes that additionally ran a warm-started descent from cached
-    /// centroids.
-    pub static LOGMEANS_WARM_STARTS: Counter = Counter::new("clustering.warm_starts");
-    /// Centroids skipped by the norm-gap prune in the online
-    /// nearest-centroid match.
-    pub static ONLINE_PRUNED_CANDIDATES: Counter = Counter::new("online.pruned_candidates");
     /// Samples classified by the online phase.
     pub static ONLINE_SAMPLES: Counter = Counter::new("online.samples");
-    /// Leaf points reached (post-filter) by kd-tree / brute kNN queries.
+    /// Leaf points reached (post-filter) by kd-tree queries.
     pub static KNN_POINTS_SCANNED: Counter = Counter::new("knn.points_scanned");
     /// Leaf points skipped by the kd-tree norm-gap prefilter.
     pub static KNN_NORM_GAP_PRUNED: Counter = Counter::new("knn.norm_gap_pruned");
@@ -272,9 +266,6 @@ pub mod counters {
     pub static TUNING_TRIALS: Counter = Counter::new("tuning.trials");
     /// Auto-tuning candidates that failed to fit (skipped).
     pub static TUNING_TRIALS_FAILED: Counter = Counter::new("tuning.trials_failed");
-    /// Centroid norms recomputed (not deserialised) while restoring a
-    /// persisted model.
-    pub static PERSIST_NORMS_RECOMPUTED: Counter = Counter::new("persist.norms_recomputed");
     /// Attributes removed as proxies by the `Remove` mitigation strategy.
     pub static PROXY_ATTRS_REMOVED: Counter = Counter::new("proxy.attrs_removed");
     /// Faults fired by a `falcc::faults::FaultPlan` (deterministic

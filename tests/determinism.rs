@@ -87,8 +87,8 @@ fn split_by_group_training_is_also_invariant() {
 #[test]
 fn log_means_pipeline_is_invariant_across_thread_counts() {
     // Same contract as above, but with LOG-Means k estimation instead of
-    // the fixed test k — this exercises the warm-started probe cache, the
-    // bounded Lloyd kernel, and the norm-pruned online path end to end.
+    // the fixed test k — this exercises the memoised probe SSEs, the
+    // bounded Lloyd kernel, and the online region match end to end.
     let fit = |threads: usize| -> (usize, Vec<Vec<u64>>, Vec<u8>) {
         let ds = synthetic::social30(23).expect("generate");
         let ds = ds.subset(&(0..1500).collect::<Vec<_>>()).expect("subset");

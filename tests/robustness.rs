@@ -351,7 +351,10 @@ fn artifact_corruption_matrix_is_always_caught() {
     skewed[8] = 9;
     assert!(matches!(
         falcc::CompiledModelBuf::from_bytes(skewed),
-        Err(FalccError::ArtifactVersionSkew { found: 9, expected: 3 })
+        Err(FalccError::ArtifactVersionSkew {
+            found: 9,
+            expected: falcc::artifact::ARTIFACT_VERSION
+        })
     ));
 
     // Stale fingerprint: the buffer validates but refuses to serve a
