@@ -12,9 +12,15 @@
 //! still pays off most; the interval with the largest ratio is bisected
 //! recursively (re-using cached SSEs) until it cannot be narrowed further,
 //! and the right endpoint of the winning ratio is returned.
+//!
+//! Probes are independent — each is a fresh seeded k-means at its own k —
+//! so the exponential probes (and the elbow's whole range) run through the
+//! deterministic parallel layer; the bisection stays sequential. The
+//! estimate is therefore the same at every thread count.
 
 use crate::kmeans::KMeans;
 use falcc_dataset::dataset::ProjectedMatrix;
+use falcc_dataset::parallel::parallel_map;
 use std::collections::BTreeMap;
 
 /// Configuration of the `k` search space.
@@ -29,36 +35,42 @@ pub struct KEstimateConfig {
     /// Max Lloyd iterations per probe (probes can be cheaper than the final
     /// clustering).
     pub max_iter: usize,
+    /// Worker threads for independent probes (0 = available parallelism).
+    /// The estimate is identical for every value.
+    pub threads: usize,
 }
 
 impl KEstimateConfig {
     /// Default search space used by the FALCC pipeline: `k ∈ [2, √n]`
-    /// capped to `[2, 64]`.
+    /// capped to `[2, 64]`, probed on every available core.
     pub fn for_rows(n_rows: usize, seed: u64) -> Self {
         let k_max = ((n_rows as f64).sqrt() as usize).clamp(2, 64);
-        Self { k_min: 2, k_max, seed, max_iter: 30 }
+        Self { k_min: 2, k_max, seed, max_iter: 30, threads: 0 }
     }
 }
 
-/// SSE at `k`, memoised across probes.
-fn sse_at(
-    cache: &mut BTreeMap<usize, f64>,
-    x: &ProjectedMatrix,
-    cfg: &KEstimateConfig,
-    k: usize,
-) -> f64 {
-    if let Some(&v) = cache.get(&k) {
-        return v;
-    }
+/// One probe: the SSE of a fresh k-means at `k`, a function of its inputs
+/// only.
+fn probe(x: &ProjectedMatrix, cfg: &KEstimateConfig, k: usize) -> f64 {
     falcc_telemetry::counters::LOGMEANS_PROBES.incr();
     let mut trainer = KMeans::new(k, cfg.seed);
     trainer.max_iter = cfg.max_iter;
     // Probes only need SSE estimates, not the best possible clustering;
     // two restarts keep the estimator robust without quadrupling its cost.
     trainer.n_init = 2;
-    let v = trainer.fit(x).sse.max(1e-12);
-    cache.insert(k, v);
-    v
+    trainer.fit(x).sse.max(1e-12)
+}
+
+/// Probes every `k` in `ks` in parallel and returns the SSEs keyed by k.
+/// A probe's cost grows with k, so the largest are handed out first.
+fn probe_all(
+    x: &ProjectedMatrix,
+    cfg: &KEstimateConfig,
+    mut ks: Vec<usize>,
+) -> BTreeMap<usize, f64> {
+    ks.sort_unstable_by(|a, b| b.cmp(a));
+    let sses = parallel_map(&ks, cfg.threads, |_, &k| probe(x, cfg, k));
+    ks.into_iter().zip(sses).collect()
 }
 
 /// LOG-Means estimate of `k`.
@@ -74,7 +86,6 @@ pub fn log_means(x: &ProjectedMatrix, cfg: &KEstimateConfig) -> usize {
         return k_min;
     }
 
-    let mut cache = BTreeMap::new();
     // Exponentially spaced probe positions k_min, 2·k_min, 4·k_min, …, k_max.
     let mut probes = vec![k_min];
     let mut k = k_min;
@@ -82,9 +93,7 @@ pub fn log_means(x: &ProjectedMatrix, cfg: &KEstimateConfig) -> usize {
         k = (k * 2).min(k_max);
         probes.push(k);
     }
-    for &p in &probes {
-        sse_at(&mut cache, x, cfg, p);
-    }
+    let mut cache = probe_all(x, cfg, probes);
 
     // Recursively bisect the interval with the highest SSE ratio, re-using
     // the cache. Each round narrows the best interval by evaluating its
@@ -103,8 +112,9 @@ pub fn log_means(x: &ProjectedMatrix, cfg: &KEstimateConfig) -> usize {
         if hi - lo <= 1 {
             return hi;
         }
+        // `lo` and `hi` are neighbouring cached keys, so `mid` is new.
         let mid = lo + (hi - lo) / 2;
-        sse_at(&mut cache, x, cfg, mid);
+        cache.insert(mid, probe(x, cfg, mid));
     }
 }
 
@@ -124,9 +134,7 @@ pub fn elbow_k(x: &ProjectedMatrix, cfg: &KEstimateConfig) -> usize {
     if k_max - k_min < 2 {
         return k_min;
     }
-    let mut cache = BTreeMap::new();
-    let sse: Vec<f64> =
-        (k_min..=k_max).map(|k| sse_at(&mut cache, x, cfg, k)).collect();
+    let sse: Vec<f64> = probe_all(x, cfg, (k_min..=k_max).collect()).into_values().collect();
     // Second difference: SSE[i-1] − 2·SSE[i] + SSE[i+1]; the elbow is where
     // this is largest (sharpest bend).
     let mut best = (k_min + 1, f64::MIN);
@@ -162,7 +170,7 @@ mod tests {
     fn log_means_finds_clear_cluster_count() {
         let centers = [(0.0, 0.0), (20.0, 0.0), (0.0, 20.0), (20.0, 20.0)];
         let x = blobs(60, &centers, 0.6, 1);
-        let cfg = KEstimateConfig { k_min: 2, k_max: 16, seed: 5, max_iter: 50 };
+        let cfg = KEstimateConfig { k_min: 2, k_max: 16, seed: 5, max_iter: 50, threads: 0 };
         let k = log_means(&x, &cfg);
         assert!((3..=6).contains(&k), "expected ≈4 clusters, got {k}");
     }
@@ -171,7 +179,7 @@ mod tests {
     fn elbow_finds_clear_cluster_count() {
         let centers = [(0.0, 0.0), (25.0, 0.0), (0.0, 25.0)];
         let x = blobs(60, &centers, 0.5, 2);
-        let cfg = KEstimateConfig { k_min: 2, k_max: 10, seed: 5, max_iter: 50 };
+        let cfg = KEstimateConfig { k_min: 2, k_max: 10, seed: 5, max_iter: 50, threads: 0 };
         let k = elbow_k(&x, &cfg);
         assert!((2..=4).contains(&k), "expected ≈3 clusters, got {k}");
     }
@@ -181,7 +189,7 @@ mod tests {
         // Structural property, not a wall-clock claim: with k_max = 64 the
         // exponential + bisection pattern touches O(log²) values.
         let x = blobs(30, &[(0.0, 0.0), (15.0, 15.0)], 1.0, 3);
-        let cfg = KEstimateConfig { k_min: 2, k_max: 32, seed: 1, max_iter: 15 };
+        let cfg = KEstimateConfig { k_min: 2, k_max: 32, seed: 1, max_iter: 15, threads: 0 };
         // Just verify it terminates and returns something in range.
         let k = log_means(&x, &cfg);
         assert!((2..=32).contains(&k));
@@ -190,7 +198,7 @@ mod tests {
     #[test]
     fn degenerate_ranges() {
         let x = blobs(10, &[(0.0, 0.0)], 0.5, 4);
-        let cfg = KEstimateConfig { k_min: 3, k_max: 3, seed: 0, max_iter: 10 };
+        let cfg = KEstimateConfig { k_min: 3, k_max: 3, seed: 0, max_iter: 10, threads: 0 };
         assert_eq!(log_means(&x, &cfg), 3);
         assert_eq!(elbow_k(&x, &cfg), 3);
     }
@@ -207,7 +215,7 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let x = blobs(40, &[(0.0, 0.0), (12.0, 12.0)], 1.0, 8);
-        let cfg = KEstimateConfig { k_min: 2, k_max: 12, seed: 9, max_iter: 20 };
+        let cfg = KEstimateConfig { k_min: 2, k_max: 12, seed: 9, max_iter: 20, threads: 0 };
         assert_eq!(log_means(&x, &cfg), log_means(&x, &cfg));
     }
 }

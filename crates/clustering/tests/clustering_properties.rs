@@ -81,7 +81,7 @@ proptest! {
 
     #[test]
     fn k_estimators_stay_in_range(x in arbitrary_matrix()) {
-        let cfg = KEstimateConfig { k_min: 2, k_max: 8, seed: 3, max_iter: 15 };
+        let cfg = KEstimateConfig { k_min: 2, k_max: 8, seed: 3, max_iter: 15, threads: 0 };
         let k_log = log_means(&x, &cfg);
         let k_elbow = elbow_k(&x, &cfg);
         prop_assert!((2..=8).contains(&k_log), "log_means returned {k_log}");

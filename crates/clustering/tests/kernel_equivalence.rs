@@ -1,14 +1,17 @@
 //! Proof-of-equivalence suite for the clustering fast paths: the bounded
 //! Lloyd kernel, the serving plane's flat nearest-centroid scan, and the
 //! norm-pruned kd-tree search must all return *bit-identical* results to
-//! their naive references on arbitrary data.
+//! their naive references on arbitrary data, and the k estimators, whose
+//! probes run in parallel, must pick the same k at every thread count.
 //!
 //! These complement the unit tests inside the crate: proptest drives the
 //! geometry into the regimes where a sloppy bound would flip a result —
 //! duplicated points (distance ties), near-equal norms (prefilter
 //! margins), and degenerate k.
 
-use falcc_clustering::{log_means, CentroidMatrix, KEstimateConfig, KMeans, KMeansModel, KdTree};
+use falcc_clustering::{
+    elbow_k, log_means, CentroidMatrix, KEstimateConfig, KMeans, KMeansModel, KdTree,
+};
 use falcc_dataset::dataset::ProjectedMatrix;
 use proptest::prelude::*;
 
@@ -22,6 +25,11 @@ fn tied_matrix() -> impl Strategy<Value = ProjectedMatrix> {
             n_rows: n,
         })
     })
+}
+
+/// The pipeline's k search space for `x`, probed on `threads` threads.
+fn k_search(x: &ProjectedMatrix, seed: u64, threads: usize) -> KEstimateConfig {
+    KEstimateConfig { threads, ..KEstimateConfig::for_rows(x.n_rows, seed) }
 }
 
 proptest! {
@@ -104,9 +112,25 @@ proptest! {
     fn log_means_is_deterministic_and_in_range(
         x in tied_matrix(), seed in 0u64..200,
     ) {
-        let cfg = KEstimateConfig::for_rows(x.n_rows, seed);
-        let k = log_means(&x, &cfg);
-        prop_assert_eq!(log_means(&x, &cfg), k);
+        // The exponential probes run in parallel: the estimate must not
+        // depend on how many threads ran them.
+        let k = log_means(&x, &k_search(&x, seed, 1));
         prop_assert!(k >= 1 && k <= x.n_rows);
+        for threads in [1, 2, 8] {
+            let again = log_means(&x, &k_search(&x, seed, threads));
+            prop_assert_eq!(again, k, "threads = {}", threads);
+        }
+    }
+
+    #[test]
+    fn elbow_k_is_deterministic_and_in_range(
+        x in tied_matrix(), seed in 0u64..200,
+    ) {
+        let k = elbow_k(&x, &k_search(&x, seed, 1));
+        prop_assert!(k >= 1 && k <= x.n_rows);
+        for threads in [1, 2, 8] {
+            let again = elbow_k(&x, &k_search(&x, seed, threads));
+            prop_assert_eq!(again, k, "threads = {}", threads);
+        }
     }
 }

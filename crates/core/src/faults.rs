@@ -6,7 +6,7 @@
 //! an **ordinal** (which item at that stage — pool member index, tuning
 //! grid position, cluster index, batch row index). Because every parallel
 //! stage in this workspace processes items by index with an ordered merge
-//! (see `falcc_models::parallel_map`), keying injections by ordinal makes
+//! (see `falcc_dataset::parallel`), keying injections by ordinal makes
 //! the schedule — and therefore the degraded output — **bit-identical for
 //! every thread count**. The determinism suite exploits exactly that: the
 //! same plan at 1, 2, and 8 threads must produce the same degraded model.

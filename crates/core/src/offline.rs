@@ -271,16 +271,14 @@ impl FalccModel {
             match journal.as_deref().and_then(|j| j.fetch::<usize>(Stage::KEstimation)) {
                 Some(resumed) => resumed,
                 None => {
+                    let est = KEstimateConfig {
+                        threads: config.threads,
+                        ..KEstimateConfig::for_rows(projected.n_rows, config.seed)
+                    };
                     let fresh = match config.clustering {
                         ClusterSpec::FixedK(k) => k,
-                        ClusterSpec::LogMeans => {
-                            let est = KEstimateConfig::for_rows(projected.n_rows, config.seed);
-                            log_means(&projected, &est)
-                        }
-                        ClusterSpec::Elbow => {
-                            let est = KEstimateConfig::for_rows(projected.n_rows, config.seed);
-                            elbow_k(&projected, &est)
-                        }
+                        ClusterSpec::LogMeans => log_means(&projected, &est),
+                        ClusterSpec::Elbow => elbow_k(&projected, &est),
                     };
                     if let Some(j) = journal.as_deref_mut() {
                         j.commit(Stage::KEstimation, &fresh)?;

@@ -22,6 +22,10 @@
 //!   for why the emulation preserves the relevant behaviour.
 //! * [`csv`] — plain CSV import/export so externally obtained copies of the
 //!   real datasets can be dropped in.
+//! * [`parallel`] — the deterministic scoped-thread layer every parallel
+//!   stage runs on (pool training, k estimation, batch scoring): ordered
+//!   parallel maps plus index-derived seed streams, so results are
+//!   bit-identical for every thread count.
 //!
 //! The public surface of this crate is **panic-free for malformed data**:
 //! dirty CSV cells, non-finite features, out-of-domain sensitive values,
@@ -34,6 +38,7 @@
 pub mod csv;
 pub mod dataset;
 pub mod error;
+pub mod parallel;
 pub mod real;
 pub mod schema;
 pub mod split;

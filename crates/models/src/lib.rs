@@ -19,9 +19,9 @@
 //! * [`pool`] — trained-model pools: diversity-driven selection
 //!   (non-pairwise entropy, §3.3), per-group training, and enumeration of
 //!   the model-combination candidates `MC_cand`.
-//! * [`parallel`] — the deterministic scoped-thread layer the offline and
-//!   online phases run on: ordered parallel maps plus index-derived seed
-//!   streams, so results are bit-identical for every thread count.
+//! * [`parallel_map`] and friends — re-exported from
+//!   `falcc_dataset::parallel`, the deterministic scoped-thread layer the
+//!   offline and online phases run on.
 //!
 //! All models implement [`Classifier`]: prediction from a full-width
 //! dataset row, with the model remembering which attributes it consumes.
@@ -33,7 +33,6 @@ pub mod forest;
 pub mod grid;
 pub mod knn_model;
 pub mod linear;
-pub mod parallel;
 pub mod persist;
 pub mod pool;
 pub mod traits;
@@ -43,7 +42,7 @@ pub use boost::{AdaBoost, AdaBoostParams};
 pub use flat::{FlatPool, FlatPoolParts, NodeArena};
 pub use forest::{RandomForest, RandomForestParams};
 pub use grid::{GridPoint, TrainerKind, PAPER_GRID};
-pub use parallel::{derive_seed, parallel_map, parallel_map_range, resolve_threads};
+pub use falcc_dataset::parallel::{derive_seed, parallel_map, parallel_map_range, resolve_threads};
 pub use persist::ModelSpec;
 pub use pool::{enumerate_combinations, GridCheckpoint, ModelPool, PoolConfig, TrainedModel};
 pub use traits::{predict_dataset, predict_proba_dataset, Classifier};

@@ -15,10 +15,10 @@ use crate::bayes::GaussianNb;
 use crate::grid::{paper_grid, TrainerKind};
 use crate::knn_model::KnnClassifier;
 use crate::linear::{LogisticParams, LogisticRegression};
-use crate::parallel::parallel_map;
 use crate::persist::ModelSpec;
 use crate::traits::{predict_dataset, Classifier};
 use crate::tree::{DecisionTree, Presort, TreeParams};
+use falcc_dataset::parallel::parallel_map;
 use falcc_dataset::{Dataset, GroupId};
 use falcc_metrics::shannon_entropy_diversity;
 use std::sync::Arc;
@@ -83,7 +83,7 @@ pub struct PoolConfig {
     /// Worker threads for grid fitting and prediction precompute
     /// (0 = available parallelism). Results are identical for every value:
     /// each grid point's seed is derived from its index, and outputs are
-    /// merged in grid order (see [`crate::parallel`]).
+    /// merged in grid order (see [`falcc_dataset::parallel`]).
     pub threads: usize,
 }
 

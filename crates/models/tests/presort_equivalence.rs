@@ -10,6 +10,9 @@
 //! the stable order of its per-node sort, and only because both sorts are
 //! stable and the partition preserves relative order do the candidate
 //! scans see the same sequence — and hence accumulate the same floats.
+//! Under entropy the presorted builder also screens out candidates whose
+//! gain bound cannot beat the best so far; the weighted cases draw
+//! heavy-tailed weights so that bound is exercised off its knots.
 //!
 //! AdaBoost sorts its rows once and boosts every round over that one
 //! presort, each round's tree partitioning a fresh copy of the sorted
@@ -47,6 +50,17 @@ fn weights_for(n: usize) -> impl Strategy<Value = Option<Vec<f64>>> {
         .prop_map(|(some, w)| (some == 1).then_some(w))
 }
 
+/// Heavy-tailed weights: cubes of uniforms span over four orders of
+/// magnitude, so child proportions land anywhere between the entropy
+/// screen's knots.
+fn cubed_weights_for(n: usize) -> impl Strategy<Value = Option<Vec<f64>>> {
+    weights_for(n).prop_map(|w| w.map(|us| us.into_iter().map(|u| u * u * u).collect()))
+}
+
+fn criterion(entropy: u8) -> SplitCriterion {
+    if entropy == 1 { SplitCriterion::Entropy } else { SplitCriterion::Gini }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -62,7 +76,7 @@ proptest! {
         let params = TreeParams {
             max_depth: depth,
             min_samples_leaf: min_leaf,
-            criterion: if entropy == 1 { SplitCriterion::Entropy } else { SplitCriterion::Gini },
+            criterion: criterion(entropy),
             max_features: None,
         };
         let fast = DecisionTree::fit(&ds, &[0, 1, 2], &idx, None, &params, seed);
@@ -74,12 +88,20 @@ proptest! {
     fn presorted_tree_equals_naive_tree_weighted(
         (ds, weights) in tied_dataset().prop_flat_map(|ds| {
             let n = ds.len();
-            (Just(ds), weights_for(n))
+            (Just(ds), cubed_weights_for(n))
         }),
+        depth in 1usize..8,
+        min_leaf in 1usize..4,
         seed in 0u64..1_000,
+        entropy in 0u8..=1,
     ) {
         let idx: Vec<usize> = (0..ds.len()).collect();
-        let params = TreeParams { max_depth: 6, ..TreeParams::default() };
+        let params = TreeParams {
+            max_depth: depth,
+            min_samples_leaf: min_leaf,
+            criterion: criterion(entropy),
+            max_features: None,
+        };
         let fast =
             DecisionTree::fit(&ds, &[0, 1, 2], &idx, weights.as_deref(), &params, seed);
         let naive =
@@ -124,7 +146,7 @@ proptest! {
             n_estimators: rounds,
             tree: TreeParams {
                 max_depth: depth,
-                criterion: if entropy == 1 { SplitCriterion::Entropy } else { SplitCriterion::Gini },
+                criterion: criterion(entropy),
                 ..TreeParams::default()
             },
         };

@@ -24,7 +24,7 @@
 //!    thread-local stack in program order, and spans opened on worker
 //!    threads carry an explicit parent plus an **ordinal** (their work-item
 //!    index), which the snapshot sorts by. This mirrors the ordered-merge
-//!    contract of `falcc_models::parallel`: the merged tree is identical
+//!    contract of `falcc_dataset::parallel`: the merged tree is identical
 //!    for 1, 2, or 8 worker threads.
 //!
 //! ## Quick example

@@ -260,6 +260,9 @@ pub mod counters {
     pub static KNN_EARLY_EXIT_PRUNED: Counter = Counter::new("knn.early_exit_pruned");
     /// Candidate split positions evaluated while fitting decision trees.
     pub static SPLITS_EVALUATED: Counter = Counter::new("offline.splits_evaluated");
+    /// Of those, entropy candidates the presorted builder skipped because
+    /// an upper bound on their gain could not beat the node's best split.
+    pub static SPLITS_SCREENED: Counter = Counter::new("offline.splits_screened");
     /// Hyperparameter grid points fitted for pool training.
     pub static POOL_GRID_POINTS: Counter = Counter::new("pool.grid_points");
     /// Auto-tuning candidates evaluated.

@@ -10,7 +10,7 @@
 //! [`span_under`] instead: an explicit parent id plus an **ordinal**, the
 //! work item's index. Snapshots sort siblings by `(ordinal, id)`, so the
 //! merged tree is identical for every thread count: the same guarantee
-//! `falcc_models::parallel` gives for data, extended to traces.
+//! `falcc_dataset::parallel` gives for data, extended to traces.
 //!
 //! Durations come from a single process-wide [`Instant`] epoch, so span
 //! start offsets are comparable across threads.

@@ -2,7 +2,7 @@
 //! classification must produce **bit-identical** results whether they run
 //! on 1, 2, or 8 worker threads.
 //!
-//! This is the contract of `falcc_models::parallel`: work items are pure
+//! This is the contract of `falcc_dataset::parallel`: work items are pure
 //! functions of their index (seeds derived from the master seed + index,
 //! never from a thread id), and outputs merge in input order. Any
 //! violation — a racing shared RNG, a scheduling-dependent reduction — is

@@ -9,7 +9,7 @@
 //! suite covers the pipeline side, plus the trace-export invariants the
 //! CI artifact relies on.
 
-use falcc::{FairClassifier, FalccConfig, FalccModel, SavedFalccModel};
+use falcc::{ClusterSpec, FairClassifier, FalccConfig, FalccModel, SavedFalccModel};
 use falcc_dataset::{synthetic, SplitRatios, ThreeWaySplit};
 use std::sync::Mutex;
 
@@ -25,11 +25,15 @@ struct Fitted {
 }
 
 fn fit(seed: u64, threads: usize) -> Fitted {
+    let mut cfg = FalccConfig::default();
+    cfg.scale_for_tests();
+    fit_with(cfg, seed, threads)
+}
+
+fn fit_with(mut cfg: FalccConfig, seed: u64, threads: usize) -> Fitted {
     let ds = synthetic::social30(seed).expect("generate");
     let ds = ds.subset(&(0..1500).collect::<Vec<_>>()).expect("subset");
     let split = ThreeWaySplit::split(&ds, SplitRatios::PAPER, seed).expect("split");
-    let mut cfg = FalccConfig::default();
-    cfg.scale_for_tests();
     cfg.seed = seed;
     cfg.threads = threads;
     let model = FalccModel::fit(&split.train, &split.validation, &cfg).expect("fit");
@@ -79,12 +83,17 @@ fn recorded_trace_is_deterministic_in_structure() {
     let _guard = TELEMETRY_LOCK.lock().unwrap();
     // Durations vary run to run, but names, nesting, ordinals, and metric
     // values must not: two identical runs produce the same skeleton even
-    // at different thread counts.
+    // at different thread counts. The second fit estimates k with
+    // LOG-Means, whose probes run in parallel.
     type Skeleton = (Vec<(String, u64)>, Vec<(String, u64)>);
     let skeleton = |threads: usize| -> Skeleton {
         falcc_telemetry::enable();
         falcc_telemetry::reset();
         let _ = fit(32, threads);
+        let mut log_means = FalccConfig::default();
+        log_means.scale_for_tests();
+        log_means.clustering = ClusterSpec::LogMeans;
+        let _ = fit_with(log_means, 34, threads);
         let snap = falcc_telemetry::snapshot();
         falcc_telemetry::disable();
         falcc_telemetry::reset();
@@ -105,6 +114,12 @@ fn recorded_trace_is_deterministic_in_structure() {
     };
     let (shape_ref, counters_ref) = skeleton(1);
     assert!(!shape_ref.is_empty());
+    let counter = |name: &str| counters_ref.iter().find(|(n, _)| n == name).map_or(0, |c| c.1);
+    for name in
+        ["clustering.logmeans_probes", "offline.lloyd_iterations", "offline.splits_screened"]
+    {
+        assert!(counter(name) > 0, "{name} was not recorded");
+    }
     for threads in [2, 8] {
         let (shape, counters) = skeleton(threads);
         assert_eq!(shape, shape_ref, "span tree differs at {threads} threads");
