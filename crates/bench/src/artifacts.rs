@@ -3,7 +3,7 @@
 //! A serving replica coming up from a JSON snapshot pays three costs:
 //! parsing the text envelope (`SavedFalccModel::load_file`), rebuilding
 //! the interpreted model (`restore`), and lowering it into the flat
-//! serving plane (`compile`). The v3 binary artifact persists the
+//! serving plane (`compile`). The binary artifact persists the
 //! *result* of all three, so its cold start is one file read, checksum
 //! validation, and validated bulk copies. This benchmark times both
 //! paths on the same ensemble-heavy model, breaks the JSON path down by

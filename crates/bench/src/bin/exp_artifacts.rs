@@ -1,4 +1,4 @@
-//! Cold-start benchmark: JSON restore+compile vs the v3 binary serving
+//! Cold-start benchmark: JSON restore+compile vs the binary serving
 //! artifact, with the JSON path broken down by stage. Writes
 //! `BENCH_artifacts.json` at the repo root.
 //!

@@ -400,11 +400,11 @@ fn parse_monitor_stream(text: &str) -> Result<falcc_telemetry::MonitorSnapshot, 
         let lineno = at + 1;
         let v = serde_json::parse_value(line)
             .map_err(|e| format!("line {lineno}: {e}"))?;
-        let kind = match v.get("type") {
-            Some(serde_json::Value::Str(s)) => s.clone(),
+        let kind: &str = match v.get("type") {
+            Some(serde_json::Value::Str(s)) => s,
             _ => return Err(format!("line {lineno}: missing \"type\"")),
         };
-        match kind.as_str() {
+        match kind {
             "monitor_baseline" => {
                 rows_seen = get_u64(&v, "rows_seen").map_err(|e| format!("line {lineno}: {e}"))?;
                 spec = Some(falcc_telemetry::MonitorSpec {
@@ -480,7 +480,7 @@ fn parse_monitor_stream(text: &str) -> Result<falcc_telemetry::MonitorSnapshot, 
     Ok(falcc_telemetry::MonitorSnapshot { spec, rows_seen, windows })
 }
 
-fn get_u64(v: &serde_json::Value, key: &str) -> Result<u64, String> {
+fn get_u64(v: &serde_json::Value<'_>, key: &str) -> Result<u64, String> {
     match v.get(key) {
         Some(serde_json::Value::U64(n)) => Ok(*n),
         Some(serde_json::Value::I64(n)) if *n >= 0 => Ok(*n as u64),
@@ -489,7 +489,7 @@ fn get_u64(v: &serde_json::Value, key: &str) -> Result<u64, String> {
     }
 }
 
-fn num_f64(v: &serde_json::Value) -> Option<f64> {
+fn num_f64(v: &serde_json::Value<'_>) -> Option<f64> {
     match v {
         serde_json::Value::F64(x) => Some(*x),
         serde_json::Value::I64(n) => Some(*n as f64),
@@ -498,7 +498,7 @@ fn num_f64(v: &serde_json::Value) -> Option<f64> {
     }
 }
 
-fn get_f64s(v: &serde_json::Value, key: &str) -> Result<Vec<f64>, String> {
+fn get_f64s(v: &serde_json::Value<'_>, key: &str) -> Result<Vec<f64>, String> {
     match v.get(key) {
         Some(serde_json::Value::Array(items)) => items
             .iter()
@@ -510,7 +510,7 @@ fn get_f64s(v: &serde_json::Value, key: &str) -> Result<Vec<f64>, String> {
     }
 }
 
-fn get_u64s(v: &serde_json::Value, key: &str) -> Result<Vec<u64>, String> {
+fn get_u64s(v: &serde_json::Value<'_>, key: &str) -> Result<Vec<u64>, String> {
     match v.get(key) {
         Some(serde_json::Value::Array(items)) => items
             .iter()

@@ -1,4 +1,4 @@
-//! Binary serving artifacts (v4): the compiled plane, persisted.
+//! Binary serving artifacts (v5): the compiled plane, persisted.
 //!
 //! [`crate::persist`] ships fitted models as JSON — robust and
 //! diff-friendly, but every serving start pays for parsing the text
@@ -15,16 +15,21 @@
 //! offset  size  field
 //! 0       8     magic  "falccbv3" (unchanged since v3, so an older
 //!               file reads as version skew, not as damage)
-//! 8       4     format version (little-endian u32, currently 4)
+//! 8       4     format version (little-endian u32, currently 5)
 //! 12      4     section count (always 11)
 //! 16      8     source fingerprint: FNV-1a-64 of the JSON snapshot's
 //!               on-disk bytes this artifact was compiled from
-//! 24      8     file checksum: FNV-1a-64 of every byte from offset 32
+//! 24      8     table checksum: FNV-1a-64 of the section table
 //! 32      11×32 section table; per entry:
 //!               {id u32, kind u32, offset u64, len u64, checksum u64}
 //! ...           section bodies, each at an 8-aligned offset, padded
-//!               with zeros between sections
+//!               with zeros between sections; the last body ends the file
 //! ```
+//!
+//! Every byte is covered by exactly one check, so each body is hashed
+//! once: the header fields are each checked by value, the table by the
+//! table checksum, each body by its own section checksum, and the padding
+//! by the rule that it is zero.
 //!
 //! Sections, in fixed id order: the JSON metadata blob (schema, group
 //! index, proxy projection, name, shape including the region count `k`,
@@ -36,9 +41,10 @@
 //! ## Validation
 //!
 //! [`CompiledModelBuf::from_bytes`] verifies the magic, version, section
-//! count, whole-file checksum, and for every table entry: fixed id order,
-//! expected kind, 8-byte alignment, in-bounds non-overlapping extent, and
-//! the per-section checksum. [`CompiledModelBuf::load`] then re-validates
+//! count, table checksum, and for every table entry: fixed id order,
+//! expected kind, 8-byte alignment, in-bounds non-overlapping extent,
+//! zero padding before the body, and the per-section checksum; then that
+//! the last body ends the file. [`CompiledModelBuf::load`] then re-validates
 //! every structural invariant the serving plane relies on (node links,
 //! attribute bounds, payload shapes, dispatch reach) through
 //! [`falcc_models::FlatPool::from_parts`] /
@@ -80,7 +86,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Current artifact format version.
-pub const ARTIFACT_VERSION: u32 = 4;
+pub const ARTIFACT_VERSION: u32 = 5;
 
 /// File extension serving callers probe for next to a JSON snapshot.
 pub const ARTIFACT_EXTENSION: &str = "falccb";
@@ -218,9 +224,10 @@ impl CompiledModelBuf {
     }
 
     /// Validates the binary envelope: magic, version, section count,
-    /// whole-file checksum, then every section-table entry (fixed id
-    /// order, expected kind, 8-byte alignment, in-bounds non-overlapping
-    /// extent, element-size divisibility, per-section checksum).
+    /// table checksum, then every section-table entry (fixed id order,
+    /// expected kind, 8-byte alignment, in-bounds non-overlapping extent,
+    /// element-size divisibility, zero padding, per-section checksum), and
+    /// finally that the last section ends the file.
     ///
     /// # Errors
     /// [`FalccError::ArtifactCorrupt`] on any integrity failure;
@@ -251,16 +258,16 @@ impl CompiledModelBuf {
             )));
         }
         let source_fingerprint = u64le(&bytes, 16);
-        let declared = u64le(&bytes, 24);
-        let actual = fnv1a64(&bytes[HEADER_LEN..]);
-        if declared != actual {
-            return Err(corrupt(format!(
-                "file checksum mismatch: declared {declared:016x}, bytes hash to {actual:016x}"
-            )));
-        }
         let table_end = HEADER_LEN + N_SECTIONS * ENTRY_LEN;
         if bytes.len() < table_end {
             return Err(corrupt("truncated section table"));
+        }
+        let declared = u64le(&bytes, 24);
+        let actual = fnv1a64(&bytes[HEADER_LEN..table_end]);
+        if declared != actual {
+            return Err(corrupt(format!(
+                "table checksum mismatch: declared {declared:016x}, table hashes to {actual:016x}"
+            )));
         }
         let mut sections = [(0usize, 0usize); N_SECTIONS];
         let mut prev_end = table_end as u64;
@@ -304,6 +311,11 @@ impl CompiledModelBuf {
                     "section {id} length {len} is not a multiple of its {elem}-byte element"
                 )));
             }
+            // Padding is covered by no checksum, so it must be exactly
+            // what the writer puts there.
+            if bytes[prev_end as usize..offset as usize].iter().any(|&b| b != 0) {
+                return Err(corrupt(format!("nonzero padding before section {id}")));
+            }
             let body = &bytes[offset as usize..end as usize];
             let actual = fnv1a64(body);
             if actual != checksum {
@@ -314,6 +326,12 @@ impl CompiledModelBuf {
             }
             *slot = (offset as usize, len as usize);
             prev_end = end;
+        }
+        if prev_end != bytes.len() as u64 {
+            return Err(corrupt(format!(
+                "{} trailing bytes after the last section",
+                bytes.len() as u64 - prev_end
+            )));
         }
         Ok(Self { bytes, sections, source_fingerprint })
     }
@@ -430,7 +448,7 @@ impl CompiledModelBuf {
 }
 
 impl CompiledModel {
-    /// Serialises the compiled plane into the v4 binary container.
+    /// Serialises the compiled plane into the v5 binary container.
     /// `source_fingerprint` is the FNV-1a-64 hash of the JSON snapshot's
     /// on-disk bytes this plane was compiled from (0 for a free-standing
     /// artifact).
@@ -488,7 +506,7 @@ impl CompiledModel {
         out[8..12].copy_from_slice(&ARTIFACT_VERSION.to_le_bytes());
         out[12..16].copy_from_slice(&(N_SECTIONS as u32).to_le_bytes());
         out[16..24].copy_from_slice(&source_fingerprint.to_le_bytes());
-        let checksum = fnv1a64(&out[HEADER_LEN..]);
+        let checksum = fnv1a64(&out[HEADER_LEN..table_end]);
         out[24..32].copy_from_slice(&checksum.to_le_bytes());
         Ok(out)
     }
@@ -608,18 +626,22 @@ mod tests {
         let bytes = model.compile().to_artifact_bytes(0).unwrap();
 
         let mut skewed = bytes.clone();
-        skewed[8] = 99; // version lives outside the file checksum
+        skewed[8] = 99; // version lives outside the table checksum
         assert!(matches!(
             CompiledModelBuf::from_bytes(skewed),
             Err(FalccError::ArtifactVersionSkew { found: 99, expected: ARTIFACT_VERSION })
         ));
-        // The magic is shared with v3, so a v3 file is version skew too.
-        let mut v3 = bytes.clone();
-        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
-        assert!(matches!(
-            CompiledModelBuf::from_bytes(v3),
-            Err(FalccError::ArtifactVersionSkew { found: 3, expected: ARTIFACT_VERSION })
-        ));
+        // The magic is shared since v3, so v3 and v4 files are version
+        // skew too.
+        for older in [3u32, 4] {
+            let mut old = bytes.clone();
+            old[8..12].copy_from_slice(&older.to_le_bytes());
+            assert!(matches!(
+                CompiledModelBuf::from_bytes(old),
+                Err(FalccError::ArtifactVersionSkew { found, expected: ARTIFACT_VERSION })
+                    if found == older
+            ));
+        }
 
         let mut bad_magic = bytes.clone();
         bad_magic[0] ^= 0x01;
@@ -642,8 +664,8 @@ mod tests {
         let (model, _) = fitted();
         let mut bytes = model.compile().to_artifact_bytes(0).unwrap();
         // Knock section 1's offset off alignment and re-seal both the
-        // section checksum and the whole-file checksum, so only the
-        // alignment rule stands between the damage and the loader.
+        // section checksum and the table checksum, so only the alignment
+        // rule stands between the damage and the loader.
         let at = HEADER_LEN + ENTRY_LEN; // section 1's table entry
         let offset = u64le(&bytes, at + 8);
         bytes[at + 8..at + 16].copy_from_slice(&(offset + 1).to_le_bytes());
@@ -651,8 +673,8 @@ mod tests {
         let body_start = (offset + 1) as usize;
         let reseal = fnv1a64(&bytes[body_start..body_start + len]);
         bytes[at + 24..at + 32].copy_from_slice(&reseal.to_le_bytes());
-        let file_checksum = fnv1a64(&bytes[HEADER_LEN..]);
-        bytes[24..32].copy_from_slice(&file_checksum.to_le_bytes());
+        let table_checksum = fnv1a64(&bytes[HEADER_LEN..HEADER_LEN + N_SECTIONS * ENTRY_LEN]);
+        bytes[24..32].copy_from_slice(&table_checksum.to_le_bytes());
         match CompiledModelBuf::from_bytes(bytes) {
             Err(FalccError::ArtifactCorrupt { detail }) => {
                 assert!(detail.contains("misaligned"), "{detail}");

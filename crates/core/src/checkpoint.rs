@@ -13,9 +13,11 @@
 //! ## On-disk format
 //!
 //! * One **record file** per checkpoint, `ck_<seq>_<stage>.json`: the
-//!   stage payload wrapped in the same v2 checksummed envelope as model
+//!   stage payload wrapped in the same v3 checksummed envelope as model
 //!   snapshots (magic `falcc-checkpoint`), written atomically and durably
-//!   (tmp + fsync + rename + parent-directory fsync).
+//!   (tmp + fsync + rename + parent-directory fsync). A record of another
+//!   format version is discarded like any damaged record, and its stage
+//!   is recomputed.
 //! * An append-only **manifest**, `manifest.jsonl`: one JSON entry per
 //!   committed record carrying the record file's checksum, the checksum of
 //!   the *previous* manifest line (a hash chain), the run-config
@@ -56,8 +58,8 @@ use std::path::{Path, PathBuf};
 /// snapshots so a record can never be mistaken for a model.
 const MAGIC: &str = "falcc-checkpoint";
 
-/// Checkpoint format version; shares the v2 envelope of model snapshots.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// Checkpoint format version; shares the v3 envelope of model snapshots.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Manifest file name inside the checkpoint directory.
 pub const MANIFEST: &str = "manifest.jsonl";
@@ -455,7 +457,7 @@ impl CheckpointJournal {
         let json = String::from_utf8(bytes)
             .map_err(|_| LineFault::Invalid(format!("record {} is not UTF-8", entry.file)))?;
         let payload = match open_envelope(MAGIC, CHECKPOINT_VERSION, &json) {
-            Ok(payload) => payload,
+            Ok((_, text)) => text.to_string(),
             Err(EnvelopeFault::Corrupt(detail)) => {
                 return Err(LineFault::Invalid(format!("record {}: {detail}", entry.file)))
             }
@@ -503,7 +505,7 @@ impl CheckpointJournal {
             FalccError::InvalidConfig { detail: format!("checkpoint serialisation failed: {e}") }
         })?;
         let sealed =
-            seal_envelope(MAGIC, CHECKPOINT_VERSION, payload.clone()).map_err(|e| {
+            seal_envelope(MAGIC, CHECKPOINT_VERSION, &payload).map_err(|e| {
                 FalccError::InvalidConfig { detail: format!("checkpoint envelope failed: {e}") }
             })?;
         let file = format!("ck_{seq:04}_{key}.json");
@@ -861,6 +863,73 @@ mod tests {
             }
             other => panic!("expected RetriesExhausted, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn older_format_records_are_recomputed_on_resume() {
+        use crate::offline::FalccModel;
+        use crate::persist::SavedFalccModel;
+        use falcc_dataset::{SplitRatios, ThreeWaySplit};
+
+        let mut dcfg = SyntheticConfig::social(0.3);
+        dcfg.n = 700;
+        let split =
+            ThreeWaySplit::split(&generate(&dcfg, 13).unwrap(), SplitRatios::PAPER, 13).unwrap();
+        let mut cfg = FalccConfig::default();
+        cfg.scale_for_tests();
+        cfg.seed = 13;
+        let fit = |cfg: &FalccConfig| {
+            let model = FalccModel::fit(&split.train, &split.validation, cfg).unwrap();
+            SavedFalccModel::capture(&model).unwrap().to_json().unwrap()
+        };
+        let reference = fit(&cfg);
+        let dir = tmp_dir("older_format");
+        cfg.checkpoint = Some(spec(&dir));
+        assert_eq!(fit(&cfg), reference);
+
+        // Rewrite the second half of the records as v2 envelopes (payload
+        // as an escaped string) and reseal their manifest lines and the
+        // chain, so only the record version tells them apart.
+        let manifest = dir.join(MANIFEST);
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        let mut entries: Vec<ManifestEntry> =
+            text.lines().map(|l| serde_json::from_str(l).unwrap()).collect();
+        let keep = entries.len() / 2;
+        let mut prev = CHAIN_SEED.to_string();
+        let mut lines = Vec::new();
+        for (i, entry) in entries.iter_mut().enumerate() {
+            if i >= keep {
+                let path = dir.join(&entry.file);
+                let v3 = std::fs::read_to_string(&path).unwrap();
+                let (_, payload) = open_envelope(MAGIC, CHECKPOINT_VERSION, &v3).unwrap();
+                let v2 = format!(
+                    "{{\"magic\":\"{MAGIC}\",\"version\":2,\"checksum\":\"{:016x}\",\"payload\":{}}}",
+                    fnv1a64(payload.as_bytes()),
+                    serde_json::to_string(payload).unwrap()
+                );
+                assert!(matches!(
+                    open_envelope(MAGIC, CHECKPOINT_VERSION, &v2),
+                    Err(EnvelopeFault::VersionSkew(2))
+                ));
+                std::fs::write(&path, &v2).unwrap();
+                entry.record = format!("{:016x}", fnv1a64(v2.as_bytes()));
+            }
+            entry.prev = prev;
+            entry.check = format!("{:016x}", entry.checksum().unwrap());
+            let line = serde_json::to_string(&*entry).unwrap();
+            prev = format!("{:016x}", fnv1a64(line.as_bytes()));
+            lines.push(line);
+        }
+        std::fs::write(&manifest, lines.join("\n") + "\n").unwrap();
+
+        let fp = fingerprint(&cfg, &split.train, &split.validation);
+        let report = CheckpointJournal::open(&spec(&dir).resuming(), fp, &FaultPlan::default())
+            .unwrap()
+            .resume_report();
+        assert_eq!(report, ResumeReport { resumed: keep, discarded: entries.len() - keep });
+        cfg.checkpoint = Some(spec(&dir).resuming());
+        assert_eq!(fit(&cfg), reference, "recomputed stages changed the fitted model");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -7,9 +7,15 @@
 //! write-temp/fsync/rename/dir-fsync publish step. This module is the
 //! single home for those helpers so the recipe cannot drift between
 //! writers.
+//!
+//! Snapshots and checkpoint records also share one JSON envelope,
+//! format 3: `{"magic":…,"version":…,"checksum":"…","payload":<JSON>}`.
+//! The payload is embedded as a JSON value and the checksum covers
+//! exactly its bytes in the file, so [`open_envelope`] verifies the
+//! payload and hands it back parsed from a single pass over the text.
 
 use crate::error::FalccError;
-use serde::{Deserialize, Serialize};
+use serde::Value;
 use std::path::Path;
 
 /// FNV-1a 64-bit: tiny, dependency-free, and plenty to catch the
@@ -23,19 +29,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The integrity envelope wrapped around every serialised JSON snapshot.
-/// The payload is carried as a string so the checksum covers its exact
-/// bytes.
-#[derive(Serialize, Deserialize)]
-struct Envelope {
-    magic: String,
-    version: u32,
-    /// FNV-1a 64-bit hash of `payload`, hex-encoded (a string survives
-    /// JSON readers that clamp integers to 53 bits).
-    checksum: String,
-    payload: String,
-}
-
 /// Why [`open_envelope`] rejected its input — the envelope consumers
 /// (model snapshots in [`crate::persist`], checkpoint journals in
 /// [`crate::checkpoint`]) map these onto their own typed errors.
@@ -47,47 +40,61 @@ pub(crate) enum EnvelopeFault {
     VersionSkew(u32),
 }
 
-/// Wraps `payload` in the checksummed integrity envelope shared by model
-/// snapshots and checkpoint records.
-pub(crate) fn seal_envelope(
-    magic: &str,
-    version: u32,
-    payload: String,
-) -> Result<String, String> {
-    let envelope = Envelope {
-        magic: magic.to_string(),
-        version,
-        checksum: format!("{:016x}", fnv1a64(payload.as_bytes())),
-        payload,
-    };
-    serde_json::to_string(&envelope).map_err(|e| e.to_string())
+/// Wraps `payload` (JSON text) in the checksummed integrity envelope
+/// shared by model snapshots and checkpoint records:
+/// `{"magic":…,"version":…,"checksum":"…","payload":<payload>}`. The
+/// payload is embedded as a JSON value, not as an escaped string, and
+/// `checksum` is the FNV-1a 64-bit hash of exactly its bytes,
+/// hex-encoded (a string survives JSON readers that clamp integers to
+/// 53 bits).
+pub(crate) fn seal_envelope(magic: &str, version: u32, payload: &str) -> Result<String, String> {
+    let magic = serde_json::to_string(magic).map_err(|e| e.to_string())?;
+    Ok(format!(
+        "{{\"magic\":{magic},\"version\":{version},\"checksum\":\"{:016x}\",\"payload\":{payload}}}",
+        fnv1a64(payload.as_bytes())
+    ))
 }
 
-/// Verifies an envelope's magic, version, and payload checksum, returning
-/// the payload string without touching its contents.
-pub(crate) fn open_envelope(
+/// Opens an envelope from one parse of `json`: checks the magic, then the
+/// version, then the checksum over the payload's exact bytes, and returns
+/// the payload both as the parsed value and as its text.
+pub(crate) fn open_envelope<'a>(
     magic: &str,
     version: u32,
-    json: &str,
-) -> Result<String, EnvelopeFault> {
-    let envelope: Envelope = serde_json::from_str(json)
+    json: &'a str,
+) -> Result<(Value<'a>, &'a str), EnvelopeFault> {
+    let (mut members, spans) = serde_json::parse_object_spans(json)
         .map_err(|e| EnvelopeFault::Corrupt(format!("unreadable envelope: {e}")))?;
-    if envelope.magic != magic {
-        return Err(EnvelopeFault::Corrupt(format!("bad magic {:?}", envelope.magic)));
+    let find = |key: &str| members.iter().position(|(k, _)| k == key);
+    let field = |key: &str| find(key).map(|i| &members[i].1);
+    match field("magic") {
+        Some(Value::Str(found)) if found == magic => {}
+        other => return Err(EnvelopeFault::Corrupt(format!("bad magic {other:?}"))),
     }
-    if envelope.version != version {
-        return Err(EnvelopeFault::VersionSkew(envelope.version));
+    let found = match field("version") {
+        Some(&Value::I64(found)) => u32::try_from(found).ok(),
+        _ => None,
     }
-    let declared = u64::from_str_radix(&envelope.checksum, 16).map_err(|_| {
-        EnvelopeFault::Corrupt(format!("unparseable checksum {:?}", envelope.checksum))
+    .ok_or_else(|| EnvelopeFault::Corrupt(format!("bad version {:?}", field("version"))))?;
+    if found != version {
+        return Err(EnvelopeFault::VersionSkew(found));
+    }
+    let declared = match field("checksum") {
+        Some(Value::Str(hex)) => u64::from_str_radix(hex, 16).ok(),
+        _ => None,
+    }
+    .ok_or_else(|| {
+        EnvelopeFault::Corrupt(format!("unparseable checksum {:?}", field("checksum")))
     })?;
-    let actual = fnv1a64(envelope.payload.as_bytes());
+    let at = find("payload").ok_or_else(|| EnvelopeFault::Corrupt("no payload".into()))?;
+    let text = &json[spans[at].clone()];
+    let actual = fnv1a64(text.as_bytes());
     if declared != actual {
         return Err(EnvelopeFault::Corrupt(format!(
             "checksum mismatch: declared {declared:016x}, payload hashes to {actual:016x}"
         )));
     }
-    Ok(envelope.payload)
+    Ok((members.swap_remove(at).1, text))
 }
 
 /// Renames `tmp` over `path`, surfacing a cross-filesystem rename as the
@@ -135,8 +142,19 @@ mod tests {
 
     #[test]
     fn envelope_helpers_round_trip_and_reject() {
-        let sealed = seal_envelope("falcc-test", 7, "payload".into()).unwrap();
-        assert_eq!(open_envelope("falcc-test", 7, &sealed).unwrap(), "payload");
+        let payload = r#"{"note":"a \"quoted\" payload","items":[1,2.5]}"#;
+        let sealed = seal_envelope("falcc-test", 7, payload).unwrap();
+        assert_eq!(
+            sealed,
+            format!(
+                "{{\"magic\":\"falcc-test\",\"version\":7,\"checksum\":\"{:016x}\",\"payload\":{payload}}}",
+                fnv1a64(payload.as_bytes())
+            ),
+            "the payload is embedded verbatim, not as an escaped string"
+        );
+        let (value, text) = open_envelope("falcc-test", 7, &sealed).unwrap();
+        assert_eq!(text, payload);
+        assert_eq!(value, serde_json::parse_value(payload).unwrap());
         assert!(matches!(
             open_envelope("falcc-other", 7, &sealed),
             Err(EnvelopeFault::Corrupt(_))
@@ -145,11 +163,30 @@ mod tests {
             open_envelope("falcc-test", 8, &sealed),
             Err(EnvelopeFault::VersionSkew(7))
         ));
-        let tampered = sealed.replace("payload", "paYload");
+        let tampered = sealed.replace("quoted", "quotes");
         assert!(matches!(
             open_envelope("falcc-test", 7, &tampered),
             Err(EnvelopeFault::Corrupt(_))
         ));
+        // The same payload in the older layout, carried as an escaped
+        // string: an intact envelope of another version is skew, whatever
+        // its payload looks like.
+        let escaped = serde_json::to_string(payload).unwrap();
+        let older = format!(
+            "{{\"magic\":\"falcc-test\",\"version\":2,\"checksum\":\"{:016x}\",\"payload\":{escaped}}}",
+            fnv1a64(payload.as_bytes())
+        );
+        assert!(matches!(
+            open_envelope("falcc-test", 7, &older),
+            Err(EnvelopeFault::VersionSkew(2))
+        ));
+        for missing in ["magic", "version", "checksum", "payload"] {
+            let renamed = sealed.replacen(&format!("\"{missing}\""), "\"other\"", 1);
+            assert!(
+                matches!(open_envelope("falcc-test", 7, &renamed), Err(EnvelopeFault::Corrupt(_))),
+                "an envelope without {missing} must be corrupt"
+            );
+        }
     }
 
     #[test]

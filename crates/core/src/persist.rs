@@ -8,14 +8,19 @@
 //!
 //! ## Hardened envelope
 //!
-//! Snapshots are wrapped in a versioned envelope `{magic, version,
-//! checksum, payload}` where `checksum` is the FNV-1a 64-bit hash of the
-//! payload string. Any corruption — flipped bytes, truncation, invalid
-//! UTF-8 — is caught by the envelope parse or the checksum and surfaces as
-//! [`FalccError::SnapshotCorrupt`]; an intact envelope from a different
-//! format version surfaces as [`FalccError::SnapshotVersionSkew`]. Saving
-//! is atomic (write-temp-then-rename) and round-trips the serialised bytes
-//! through the loader as a self-check before publishing the file.
+//! Snapshots are wrapped in the versioned envelope of [`crate::io`],
+//! `{"magic":"falcc-model","version":3,"checksum":"…","payload":{…}}`,
+//! where the payload is the snapshot's JSON embedded as a value and
+//! `checksum` is the FNV-1a 64-bit hash of exactly those payload bytes.
+//! Loading parses the file once, then checks magic → version → checksum
+//! and deserialises the payload from that same parse. Any corruption —
+//! flipped bytes, truncation, invalid UTF-8 — is caught by the parse or
+//! the checksum and surfaces as [`FalccError::SnapshotCorrupt`]; an
+//! intact envelope from a different format version (v2 carried the
+//! payload as an escaped string) surfaces as
+//! [`FalccError::SnapshotVersionSkew`]. Saving is atomic
+//! (write-temp-then-rename) and round-trips the serialised bytes through
+//! the loader as a self-check before publishing the file.
 //!
 //! ```
 //! use falcc::{FairClassifier, FalccConfig, FalccModel, SavedFalccModel};
@@ -60,10 +65,11 @@ pub struct SavedFalccModel {
     baseline: MonitorBaseline,
 }
 
-/// Current snapshot format version (v2 introduced the checksummed
-/// envelope; v1 snapshots are rejected with
-/// [`FalccError::SnapshotVersionSkew`]).
-pub const FORMAT_VERSION: u32 = 2;
+/// Current snapshot format version. v2 introduced the checksummed
+/// envelope with the payload as an escaped string; v3 embeds the payload
+/// as a JSON value. Older snapshots are rejected with
+/// [`FalccError::SnapshotVersionSkew`].
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Envelope magic — lets the loader distinguish "not a snapshot at all"
 /// from "a damaged snapshot".
@@ -142,21 +148,22 @@ impl SavedFalccModel {
         let payload = serde_json::to_string(self).map_err(|e| FalccError::InvalidConfig {
             detail: format!("serialisation failed: {e}"),
         })?;
-        seal_envelope(MAGIC, FORMAT_VERSION, payload).map_err(|e| {
+        seal_envelope(MAGIC, FORMAT_VERSION, &payload).map_err(|e| {
             FalccError::InvalidConfig { detail: format!("envelope serialisation failed: {e}") }
         })
     }
 
-    /// Parses a snapshot from JSON, verifying the envelope magic, format
-    /// version, and payload checksum before touching the payload.
+    /// Parses a snapshot from JSON in one pass, then verifies the
+    /// envelope magic, format version, and payload checksum before
+    /// deserialising the already-parsed payload.
     ///
     /// # Errors
     /// [`FalccError::SnapshotCorrupt`] on any integrity failure;
     /// [`FalccError::SnapshotVersionSkew`] when an intact envelope was
     /// written by a different format version.
     pub fn from_json(json: &str) -> Result<Self, FalccError> {
-        let payload = match open_envelope(MAGIC, FORMAT_VERSION, json) {
-            Ok(payload) => payload,
+        let (payload, _) = match open_envelope(MAGIC, FORMAT_VERSION, json) {
+            Ok(opened) => opened,
             Err(EnvelopeFault::Corrupt(detail)) => return Err(corrupt(detail)),
             Err(EnvelopeFault::VersionSkew(found)) => {
                 falcc_telemetry::counters::SNAPSHOTS_REJECTED.incr();
@@ -166,8 +173,7 @@ impl SavedFalccModel {
                 });
             }
         };
-        serde_json::from_str(&payload)
-            .map_err(|e| corrupt(format!("unreadable payload: {e}")))
+        Self::from_value(&payload).map_err(|e| corrupt(format!("unreadable payload: {e}")))
     }
 
     /// Writes the snapshot to a file, atomically and durably: the bytes
@@ -283,6 +289,31 @@ mod tests {
         assert!(matches!(
             SavedFalccModel::from_json("{\"magic\":\"other\",\"version\":2,\"checksum\":\"0\",\"payload\":\"\"}"),
             Err(FalccError::SnapshotCorrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn payload_is_embedded_verbatim_and_v2_snapshots_are_skew() {
+        let (model, _) = fitted();
+        let saved = SavedFalccModel::capture(&model).unwrap();
+        let payload = serde_json::to_string(&saved).unwrap();
+        let checksum = format!("{:016x}", crate::io::fnv1a64(payload.as_bytes()));
+        assert_eq!(
+            saved.to_json().unwrap(),
+            format!(
+                "{{\"magic\":\"falcc-model\",\"version\":3,\"checksum\":\"{checksum}\",\"payload\":{payload}}}"
+            ),
+            "the checksum covers exactly the embedded payload bytes"
+        );
+        // A v2 snapshot of the same model, as v2 wrote it: the payload
+        // carried as an escaped string under the same checksum.
+        let v2 = format!(
+            "{{\"magic\":\"falcc-model\",\"version\":2,\"checksum\":\"{checksum}\",\"payload\":{}}}",
+            serde_json::to_string(&payload).unwrap()
+        );
+        assert!(matches!(
+            SavedFalccModel::from_json(&v2),
+            Err(FalccError::SnapshotVersionSkew { found: 2, expected: 3 })
         ));
     }
 

@@ -13,7 +13,7 @@
 //! * **Metric fidelity** — the count-derived per-window demographic
 //!   parity gap equals `FairnessMetric::DemographicParity` recomputed
 //!   on reconstructed slices.
-//! * **Baseline persistence** — `MonitorBaseline` survives the v2
+//! * **Baseline persistence** — `MonitorBaseline` survives the
 //!   snapshot round trip bit-for-bit.
 
 use falcc::{FairClassifier, FalccConfig, FalccModel, FaultPlan, SavedFalccModel};

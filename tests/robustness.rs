@@ -19,8 +19,8 @@
 //!    back to the last valid prefix, reproducing the uninterrupted model
 //!    bit for bit (stale-generation journals are rejected typed instead).
 //! 5. **Hardened binary artifacts** — the same corruption matrix applied
-//!    to the v3 binary serving artifact (bit flips across header,
-//!    section table, and slab bytes; truncation buckets; alignment
+//!    to the binary serving artifact (bit flips across header, section
+//!    table, slab bytes and padding; truncation buckets; alignment
 //!    violations; version skew; stale fingerprints) is always rejected
 //!    with a typed error — never UB, never a panic, never a silently
 //!    different model.
@@ -277,13 +277,27 @@ fn artifact_corruption_matrix_is_always_caught() {
         .predict_dataset(&split.test);
     assert_eq!(reference, compiled.predict_dataset(&split.test));
 
-    // Bit flips at a stride across the whole file: header, section
-    // table, slab bytes, and inter-section padding. Unlike the JSON
-    // envelope (where serde may normalise whitespace damage away), the
-    // binary envelope has no slack: every flipped byte must be rejected
-    // typed, with the error variant determined by where the flip landed.
+    // Bit flips at a stride across the whole file (header, section
+    // table, slab bytes), plus every inter-section padding byte, which no
+    // checksum covers. Unlike the JSON envelope (where serde may normalise
+    // whitespace damage away), the binary envelope has no slack: every
+    // flipped byte must be rejected typed, with the error variant
+    // determined by where the flip landed.
+    let mut padding = Vec::new();
+    let mut prev_end = 32 + 11 * 32;
+    for id in 0..11 {
+        let entry = 32 + id * 32;
+        let field = |at: usize| {
+            u64::from_le_bytes(bytes[entry + at..entry + at + 8].try_into().expect("8 bytes"))
+                as usize
+        };
+        padding.extend(prev_end..field(8));
+        prev_end = field(8) + field(16);
+    }
+    assert_eq!(prev_end, bytes.len(), "the last section ends the file");
+    assert!(!padding.is_empty(), "the fixture's layout must carry padding");
     let stride = (bytes.len() / 97).max(1);
-    for offset in (0..bytes.len()).step_by(stride).chain([8, 16, 24]) {
+    for offset in (0..bytes.len()).step_by(stride).chain([8, 16, 24]).chain(padding) {
         let mut mangled = bytes.clone();
         flip_byte(&mut mangled, offset);
         let outcome = falcc::CompiledModelBuf::from_bytes(mangled)
@@ -323,9 +337,18 @@ fn artifact_corruption_matrix_is_always_caught() {
         );
     }
 
+    // Bytes appended after the last section are covered by no checksum;
+    // the end-of-file rule rejects them.
+    let mut longer = bytes.clone();
+    longer.extend_from_slice(&[0; 8]);
+    assert!(matches!(
+        falcc::CompiledModelBuf::from_bytes(longer),
+        Err(FalccError::ArtifactCorrupt { .. })
+    ));
+
     // Alignment violation with *valid* checksums: shift a section offset
     // off the 8-byte grid and re-seal both the section checksum and the
-    // whole-file checksum, so only the alignment rule can catch it.
+    // table checksum, so only the alignment rule can catch it.
     let mut mangled = bytes.clone();
     let entry = 32 + 32; // section 1's table entry
     let offset =
@@ -336,8 +359,8 @@ fn artifact_corruption_matrix_is_always_caught() {
     let body = &mangled[(offset + 4) as usize..(offset + 4 + len) as usize];
     let reseal = falcc::io::fnv1a64(body);
     mangled[entry + 24..entry + 32].copy_from_slice(&reseal.to_le_bytes());
-    let file_checksum = falcc::io::fnv1a64(&mangled[32..]);
-    mangled[24..32].copy_from_slice(&file_checksum.to_le_bytes());
+    let table_checksum = falcc::io::fnv1a64(&mangled[32..32 + 11 * 32]);
+    mangled[24..32].copy_from_slice(&table_checksum.to_le_bytes());
     match falcc::CompiledModelBuf::from_bytes(mangled) {
         Err(FalccError::ArtifactCorrupt { detail }) => {
             assert!(detail.contains("misaligned"), "{detail}");
