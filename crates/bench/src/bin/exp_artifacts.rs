@@ -26,7 +26,7 @@ fn main() {
     println!(
         "cold start              ms\n\
          json read+parse    {:>7.2}\n\
-         restore            {:>7.2}\n\
+         restore            {:>7.4}\n\
          compile            {:>7.2}\n\
          json total         {:>7.2}\n\
          artifact validate  {:>7.2}\n\

@@ -1,15 +1,17 @@
 //! Properties of the vendored JSON parser that snapshots and checkpoint
 //! records are read with: rendering then parsing returns the same value,
 //! strings that need no unescaping are borrowed from the input, member
-//! spans cover exactly the bytes a member was parsed from, and a
-//! document cut short is always an error, never a panic.
+//! spans cover exactly the bytes a member was parsed from, a document cut
+//! short is always an error, never a panic, and so is one nested deeper
+//! than the parser's limit, never a stack overflow.
 //!
 //! The vendored crates sit outside the workspace, so these properties
 //! live here, where the workspace's test command runs them.
 
+use falcc::{FalccError, SavedFalccModel};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use serde_json::Value;
+use serde_json::{Value, MAX_DEPTH};
 use std::borrow::Cow;
 
 /// Pieces strings are assembled from: long plain runs, both characters
@@ -144,5 +146,47 @@ proptest! {
             );
             prop_assert!(serde_json::parse_object_spans(&text[..cut]).is_err());
         }
+    }
+}
+
+/// `depth` nested arrays around nothing.
+fn nested_arrays(depth: usize) -> String {
+    "[".repeat(depth) + &"]".repeat(depth)
+}
+
+/// An object nesting `depth` objects in all, the innermost holding `1`.
+fn nested_objects(depth: usize) -> String {
+    "{\"k\":".repeat(depth - 1) + "{\"k\":1" + &"}".repeat(depth)
+}
+
+#[test]
+fn nesting_up_to_the_limit_parses() {
+    assert_eq!(MAX_DEPTH, 128);
+    assert!(serde_json::parse_value(&nested_arrays(MAX_DEPTH)).is_ok());
+    assert!(serde_json::parse_value(&nested_objects(MAX_DEPTH)).is_ok());
+    assert!(serde_json::parse_object_spans(&nested_objects(MAX_DEPTH)).is_ok());
+}
+
+#[test]
+fn nesting_past_the_limit_is_an_error() {
+    for depth in [MAX_DEPTH + 1, 200_000] {
+        assert!(serde_json::parse_value(&nested_arrays(depth)).is_err(), "depth {depth}");
+        assert!(serde_json::parse_value(&nested_objects(depth)).is_err(), "depth {depth}");
+        assert!(serde_json::parse_object_spans(&nested_objects(depth)).is_err());
+    }
+}
+
+#[test]
+fn a_deeply_nested_snapshot_is_corrupt_not_a_crash() {
+    // About 400 KB of `[` inside a snapshot envelope.
+    let deep = format!(
+        "{{\"magic\":\"falcc-model\",\"version\":3,\"payload\":{}}}",
+        nested_arrays(200_000)
+    );
+    match SavedFalccModel::from_json(&deep) {
+        Err(FalccError::SnapshotCorrupt { detail }) => {
+            assert!(detail.contains("nesting"), "{detail}");
+        }
+        other => panic!("expected SnapshotCorrupt, got {:?}", other.map(|_| ())),
     }
 }

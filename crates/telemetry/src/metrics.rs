@@ -258,11 +258,21 @@ pub mod counters {
     pub static KNN_NORM_GAP_PRUNED: Counter = Counter::new("knn.norm_gap_pruned");
     /// Leaf points abandoned by the early-exit distance accumulation.
     pub static KNN_EARLY_EXIT_PRUNED: Counter = Counter::new("knn.early_exit_pruned");
-    /// Candidate split positions evaluated while fitting decision trees.
+    /// Candidate split positions evaluated while fitting decision trees:
+    /// cuts between distinct values that pass the leaf-size and weight
+    /// filters. The presorted builder counts only the cuts of blocks it
+    /// scans cut by cut; a screened block's cuts are never inspected.
     pub static SPLITS_EVALUATED: Counter = Counter::new("offline.splits_evaluated");
     /// Of those, entropy candidates the presorted builder skipped because
     /// an upper bound on their gain could not beat the node's best split.
     pub static SPLITS_SCREENED: Counter = Counter::new("offline.splits_screened");
+    /// Blocks of up to 64 cuts, and sub-blocks of up to 16 within a block
+    /// that was not skipped, whose gains the presorted builder bounded
+    /// together once their node had a best split.
+    pub static SPLIT_BLOCKS_BOUNDED: Counter = Counter::new("offline.split_blocks_bounded");
+    /// Of those, blocks and sub-blocks skipped whole because the bound
+    /// could not beat the node's best split.
+    pub static SPLIT_BLOCKS_SCREENED: Counter = Counter::new("offline.split_blocks_screened");
     /// Hyperparameter grid points fitted for pool training.
     pub static POOL_GRID_POINTS: Counter = Counter::new("pool.grid_points");
     /// Auto-tuning candidates evaluated.

@@ -115,9 +115,12 @@ fn recorded_trace_is_deterministic_in_structure() {
     let (shape_ref, counters_ref) = skeleton(1);
     assert!(!shape_ref.is_empty());
     let counter = |name: &str| counters_ref.iter().find(|(n, _)| n == name).map_or(0, |c| c.1);
-    for name in
-        ["clustering.logmeans_probes", "offline.lloyd_iterations", "offline.splits_screened"]
-    {
+    for name in [
+        "clustering.logmeans_probes",
+        "offline.lloyd_iterations",
+        "offline.splits_screened",
+        "offline.split_blocks_screened",
+    ] {
         assert!(counter(name) > 0, "{name} was not recorded");
     }
     for threads in [2, 8] {
