@@ -25,7 +25,9 @@ fn online_phase(c: &mut Criterion) {
         let mut cfg = FalccConfig::default();
         cfg.loss = LossConfig::balanced(FairnessMetric::DemographicParity);
         cfg.seed = seed;
-        let falcc = FalccModel::fit(&split.train, &split.validation, &cfg).expect("falcc");
+        // FALCC serves through its compiled plane.
+        let falcc =
+            FalccModel::fit(&split.train, &split.validation, &cfg).expect("falcc").compile();
 
         let pool = ModelPool::standard_five(&split.train, seed);
         let falces_plain = Falces::fit(

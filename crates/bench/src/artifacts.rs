@@ -2,7 +2,7 @@
 //!
 //! A serving replica coming up from a JSON snapshot pays three costs:
 //! parsing the text envelope (`SavedFalccModel::load_file`), rebuilding
-//! the interpreted model (`restore`), and lowering it into the flat
+//! the fitted model (`restore`), and lowering it into the flat
 //! serving plane (`compile`). The binary artifact persists the
 //! *result* of all three, so its cold start is one file read, checksum
 //! validation, and validated bulk copies. This benchmark times both
@@ -12,12 +12,15 @@
 //! scale, on a cold-start speedup below [`COLD_START_MIN_SPEEDUP`]) and
 //! serialises everything to `BENCH_artifacts.json`.
 
-use falcc::{CompiledModel, CompiledModelBuf, FairClassifier, FalccModel, SavedFalccModel};
+use falcc::{
+    ClusterSpec, CompiledModel, CompiledModelBuf, FairClassifier, FalccConfig, FalccModel,
+    SavedFalccModel,
+};
 use falcc_dataset::{SplitRatios, ThreeWaySplit};
+use falcc_models::{PoolConfig, TrainerKind};
 use std::time::Instant;
 
 use crate::data::BenchDataset;
-use crate::serving::{best_ms, mixed_batch, serving_config};
 
 /// Minimum artifact-vs-JSON cold-start speedup gated at benchmark scale
 /// (`exp_artifacts` without `--smoke`, scale ≥ 0.10). The artifact skips
@@ -50,7 +53,7 @@ pub struct ArtifactsReport {
     pub json_cold_ms: f64,
     /// JSON read + envelope verification + serde parse, ms.
     pub json_parse_ms: f64,
-    /// Interpreted-model reconstruction (`restore`), ms: the fastest of
+    /// Fitted-model reconstruction (`restore`), ms: the fastest of
     /// `reps` single restores, each of a snapshot parsed before its timer
     /// started.
     pub restore_ms: f64,
@@ -67,6 +70,63 @@ pub struct ArtifactsReport {
     pub equivalent: bool,
     /// What was compared.
     pub note: String,
+}
+
+/// Best-case per-call time in milliseconds. One pass over a small test
+/// split lasts well under a millisecond — below scheduler jitter on a
+/// shared box — so each timed sample repeats `f` until it spans a few
+/// milliseconds, and the minimum across samples is taken (the sample
+/// least perturbed by outside interference, the standard throughput
+/// estimator). Samples are kept short on purpose: the minimum only
+/// needs *one* interference-free window, and short windows are far more
+/// common on a steal-prone shared vCPU.
+const SAMPLE_TARGET_S: f64 = 0.004;
+
+fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
+    let start = Instant::now();
+    f();
+    let once = start.elapsed().as_secs_f64();
+    let inner = (SAMPLE_TARGET_S / once.max(1e-9)).ceil().clamp(1.0, 100_000.0) as usize;
+    (0..reps.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..inner {
+                f();
+            }
+            start.elapsed().as_secs_f64() * 1_000.0 / inner as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The ensemble-heavy serving configuration: whole AdaBoost grid
+/// (`pool_size = 0` keeps all eight points), fixed k so the region count
+/// is stable across scales.
+fn serving_config(seed: u64) -> FalccConfig {
+    FalccConfig {
+        clustering: ClusterSpec::FixedK(8),
+        pool: PoolConfig {
+            trainer: TrainerKind::AdaBoost,
+            pool_size: 0,
+            seed,
+            ..Default::default()
+        },
+        seed,
+        ..FalccConfig::default()
+    }
+}
+
+/// A batch interleaving valid test rows with every malformed-row kind —
+/// the equivalence check must hold on faults too.
+fn mixed_batch(split: &ThreeWaySplit) -> Vec<Vec<f64>> {
+    let width = split.test.row(0).len();
+    let mut rows: Vec<Vec<f64>> =
+        (0..24).map(|i| split.test.row(i % split.test.len()).to_vec()).collect();
+    rows[3][width - 1] = f64::NAN;
+    rows[7][1] = f64::NEG_INFINITY;
+    rows[11][0] = 42.0; // sensitive attribute outside the group domain
+    rows[15] = vec![0.5]; // short
+    rows[19].push(0.5); // wide
+    rows
 }
 
 /// Times both cold-start paths on Adult (sex) and verifies bit identity.

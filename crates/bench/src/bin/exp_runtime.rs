@@ -12,7 +12,7 @@ use falcc_bench::algos::{fit_algorithm, Algo, PoolSet};
 use falcc_bench::report::write_csv;
 use falcc_bench::{BenchDataset, Opts, Table};
 use falcc_dataset::{Dataset, SplitRatios, ThreeWaySplit};
-use falcc::{FairClassifier, FalccConfig, FalccModel};
+use falcc::{CompiledModel, FairClassifier, FalccConfig, FalccModel};
 use falcc_metrics::LossConfig;
 use std::time::Instant;
 
@@ -32,19 +32,13 @@ fn online_micros(model: &dyn FairClassifier, test: &Dataset, reps: usize) -> f64
     times[times.len() / 2]
 }
 
-/// Median-of-runs per-sample latency of a *batched* online phase
-/// (`classify_batch` of either serving plane), in microseconds — the
-/// caller passes the entry point so the interpreted and compiled planes
-/// are measured through the identical harness.
-fn batched_micros(
-    rows: &[Vec<f64>],
-    reps: usize,
-    mut run: impl FnMut(&[Vec<f64>]) -> Vec<Result<u8, falcc::RowFault>>,
-) -> f64 {
+/// Median-of-runs per-sample latency of the serving plane's batched
+/// entry point (`classify_batch`), in microseconds.
+fn batched_micros(compiled: &CompiledModel, rows: &[Vec<f64>], reps: usize) -> f64 {
     let mut times: Vec<f64> = (0..reps.max(1))
         .map(|_| {
             let start = Instant::now();
-            let preds = run(rows);
+            let preds = compiled.classify_batch(rows);
             let elapsed = start.elapsed().as_nanos() as f64;
             assert_eq!(preds.len(), rows.len());
             assert!(preds.iter().all(Result::is_ok));
@@ -82,7 +76,7 @@ fn main() {
 
     let mut table = Table::new(
         "Fig. 6 — online-phase runtime, microseconds per sample (median of reps)",
-        &["dataset", "groups", "FALCC", "FALCC-batch", "interp rows/s", "compiled rows/s", "FALCES-FASTEST", "(variant)", "OTHER-FASTEST", "(algo)"],
+        &["dataset", "groups", "FALCC", "FALCC-batch", "compiled rows/s", "FALCES-FASTEST", "(variant)", "OTHER-FASTEST", "(algo)"],
     );
     let mut offline_table = Table::new(
         "Offline-phase fit wall-clock (seconds) vs worker threads — identical models",
@@ -105,7 +99,7 @@ fn main() {
                 .expect("group coverage");
         let fit_1t = start.elapsed().as_secs_f64();
         let start = Instant::now();
-        let mut falcc =
+        let falcc =
             FalccModel::fit(&split.train, &split.validation, &falcc_config(metric, seed, 4))
                 .expect("group coverage");
         let fit_4t = start.elapsed().as_secs_f64();
@@ -121,22 +115,18 @@ fn main() {
             format!("{:.2}x", fit_1t / fit_4t),
         ]);
 
-        // Per-sample latency (Fig. 6 proper) stays sequential so the
-        // comparison with the single-threaded baselines is apples to
-        // apples; the batch column shows the deployed throughput.
-        falcc.set_threads(1);
-        let falcc_us = online_micros(&falcc, &split.test, 3);
+        // FALCC serves through its compiled plane. Per-sample latency
+        // (Fig. 6 proper) stays sequential so the comparison with the
+        // single-threaded baselines is apples to apples; the batch
+        // columns show the deployed throughput on every core.
+        let mut compiled = falcc.compile();
+        compiled.set_threads(1);
+        let falcc_us = online_micros(&compiled, &split.test, 3);
         let rows: Vec<Vec<f64>> =
             (0..split.test.len()).map(|i| split.test.row(i).to_vec()).collect();
-        falcc.set_threads(0);
-        let falcc_batch_us = batched_micros(&rows, 3, |r| falcc.classify_batch(r));
-
-        // Interpreted vs compiled batch throughput (rows per second) —
-        // the same entry point through both serving planes.
-        let compiled = falcc.compile();
-        let compiled_batch_us = batched_micros(&rows, 3, |r| compiled.classify_batch(r));
-        let interp_rows_s = 1_000_000.0 / falcc_batch_us.max(1e-9);
-        let compiled_rows_s = 1_000_000.0 / compiled_batch_us.max(1e-9);
+        compiled.set_threads(0);
+        let falcc_batch_us = batched_micros(&compiled, &rows, 3);
+        let compiled_rows_s = 1_000_000.0 / falcc_batch_us.max(1e-9);
         drop(compiled);
 
         // FALCES family → fastest variant.
@@ -164,7 +154,6 @@ fn main() {
             n_groups.to_string(),
             format!("{falcc_us:.2}"),
             format!("{falcc_batch_us:.2}"),
-            format!("{interp_rows_s:.0}"),
             format!("{compiled_rows_s:.0}"),
             format!("{falces_us:.2}"),
             falces_name,
@@ -212,8 +201,9 @@ fn main() {
     overhead_report(&opts);
 }
 
-/// Per-phase wall-clock of one FALCC fit + batch classification, from the
-/// telemetry span tree — the paper's Fig. 6 split into pipeline stages.
+/// Per-phase wall-clock of one FALCC fit + batch classification through
+/// the serving plane, from the telemetry span tree — the paper's Fig. 6
+/// split into pipeline stages.
 fn phase_breakdown(opts: &Opts, out: &std::path::Path) {
     let was_enabled = falcc_telemetry::enabled();
     falcc_telemetry::enable();
@@ -226,7 +216,7 @@ fn phase_breakdown(opts: &Opts, out: &std::path::Path) {
     let model =
         FalccModel::fit(&split.train, &split.validation, &falcc_config(metric, seed, 1))
             .expect("group coverage");
-    let preds = model.predict_dataset(&split.test);
+    let preds = model.compile().predict_dataset(&split.test);
     assert_eq!(preds.len(), split.test.len());
 
     let snap = falcc_telemetry::snapshot();
@@ -240,7 +230,7 @@ fn phase_breakdown(opts: &Opts, out: &std::path::Path) {
         ("offline.gap_fill", "gap fill"),
         ("offline.pool_predictions", "pool predictions"),
         ("offline.assessment", "assessment"),
-        ("online.classify_batch", "online (batch)"),
+        ("serve.classify_batch", "online (batch)"),
     ];
     let mut table = Table::new(
         "Per-phase wall-clock — one FALCC fit + test classification, Adult (sex)",

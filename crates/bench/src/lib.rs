@@ -12,7 +12,6 @@
 //! | `exp_proxy`     | Fig. 5 — proxy-mitigation strategies |
 //! | `exp_runtime`   | Fig. 6 — online-phase runtime |
 //! | `exp_ablation`  | extra — design-choice ablations (k estimation, pool size, λ) |
-//! | `exp_serving`   | extra — interpreted vs compiled serving plane (`BENCH_serving.json`) |
 //!
 //! Every binary accepts `--seed <u64>`, `--runs <n>`, `--scale <f64>` (row
 //! scaling of the emulated datasets) and `--out <dir>` and writes both a
@@ -31,7 +30,6 @@ pub mod data;
 pub mod eval;
 pub mod overhead;
 pub mod report;
-pub mod serving;
 
 pub use algos::{fit_algorithm, Algo, FittedAlgo};
 pub use artifacts::{bench_artifacts, ArtifactsReport};
@@ -40,4 +38,3 @@ pub use data::BenchDataset;
 pub use eval::{evaluate, reference_regions, EvalRow};
 pub use overhead::{measure_overhead, TelemetryOverheadReport};
 pub use report::{write_csv, Table};
-pub use serving::{bench_serving, ServingReport};

@@ -5,9 +5,10 @@
 //! overhead numbers are committed alongside the runtime tables. Two
 //! complementary measurements:
 //!
-//! * **End-to-end**: median wall-clock of fit + classify with telemetry
-//!   off and on (target: enabled < 3% over disabled). Predictions are
-//!   asserted bit-identical in both states — observation never perturbs.
+//! * **End-to-end**: median wall-clock of fit + compile + classify with
+//!   telemetry off and on (target: enabled < 3% over disabled).
+//!   Predictions are asserted bit-identical in both states — observation
+//!   never perturbs.
 //! * **Disabled hot path**: nanoseconds per disabled counter update and
 //!   per inert span guard. These are the per-operation costs paid at every
 //!   instrumentation point when recording is off (target: low single-digit
@@ -108,7 +109,8 @@ fn end_to_end_ms(
             falcc::baseline::DEFAULT_WINDOWS,
         ))
     });
-    let preds = model.predict_dataset(&split.test);
+    // Serve through the compiled plane: it is the one the monitors watch.
+    let preds = model.compile().predict_dataset(&split.test);
     let ms = start.elapsed().as_secs_f64() * 1_000.0;
     let windows = state.map_or(0, |state| {
         falcc_telemetry::monitor::uninstall();

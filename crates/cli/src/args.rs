@@ -91,9 +91,6 @@ pub struct RunArgs {
     /// Deterministic fault-injection schedule from `--inject` (empty by
     /// default) — demonstrates the degradation paths end to end.
     pub faults: FaultPlan,
-    /// Serve the test split through the interpreted online phase instead
-    /// of the compiled plane (escape hatch; results are bit-identical).
-    pub no_compile: bool,
     /// Install the live serving monitors around the classification pass
     /// and write the windowed monitor stream (JSONL) to this path.
     pub monitor_out: Option<String>,
@@ -167,9 +164,6 @@ pub struct PredictArgs {
     pub data: String,
     pub out: Option<String>,
     pub threads: usize,
-    /// Classify through the interpreted online phase instead of the
-    /// compiled serving plane (escape hatch; results are bit-identical).
-    pub no_compile: bool,
     /// Ignore a sibling `.falccb` binary artifact and always restore +
     /// recompile from the JSON snapshot (escape hatch; results are
     /// bit-identical).
@@ -334,7 +328,6 @@ fn parse_run(args: &[String]) -> Result<Command, CliError> {
         scale: 0.10,
         threads: 0,
         faults: FaultPlan::default(),
-        no_compile: false,
         monitor_out: None,
     };
     let mut cur = Cursor { args, at: 0 };
@@ -348,7 +341,6 @@ fn parse_run(args: &[String]) -> Result<Command, CliError> {
                 out.threads = parse_num(cur.next_value("--threads")?, "--threads")?
             }
             "--inject" => parse_inject(&mut out.faults, cur.next_value("--inject")?)?,
-            "--no-compile" => out.no_compile = true,
             "--monitor-out" => {
                 out.monitor_out = Some(cur.next_value("--monitor-out")?.to_string())
             }
@@ -504,7 +496,6 @@ fn parse_predict(args: &[String]) -> Result<Command, CliError> {
     let mut data = None;
     let mut out = None;
     let mut threads = 0;
-    let mut no_compile = false;
     let mut no_artifact = false;
     let mut cur = Cursor { args, at: 0 };
     while cur.at < cur.args.len() {
@@ -515,7 +506,6 @@ fn parse_predict(args: &[String]) -> Result<Command, CliError> {
             "--data" => data = Some(cur.next_value("--data")?.to_string()),
             "--out" => out = Some(cur.next_value("--out")?.to_string()),
             "--threads" => threads = parse_num(cur.next_value("--threads")?, "--threads")?,
-            "--no-compile" => no_compile = true,
             "--no-artifact" => no_artifact = true,
             other => return Err(CliError::usage(format!("unknown flag {other}"))),
         }
@@ -525,7 +515,6 @@ fn parse_predict(args: &[String]) -> Result<Command, CliError> {
         data: data.ok_or_else(|| CliError::usage("predict requires --data"))?,
         out,
         threads,
-        no_compile,
         no_artifact,
     }))
 }
@@ -640,17 +629,15 @@ mod tests {
                 data: "d.csv".into(),
                 out: None,
                 threads: 0,
-                no_compile: false,
                 no_artifact: false,
             })
         );
         let cmd = parse(&v(&[
-            "predict", "--model", "m.json", "--data", "d.csv", "--no-compile",
-            "--no-artifact",
+            "predict", "--model", "m.json", "--data", "d.csv", "--no-artifact",
         ]))
         .unwrap();
         let Command::Predict(p) = cmd else { panic!("expected predict") };
-        assert!(p.no_compile && p.no_artifact);
+        assert!(p.no_artifact);
         let cmd = parse(&v(&["audit", "--model", "m", "--data", "d"])).unwrap();
         assert!(matches!(cmd, Command::Audit(_)));
         let cmd = parse(&v(&["info", "--model", "m"])).unwrap();
@@ -667,14 +654,11 @@ mod tests {
                 scale: 0.10,
                 threads: 0,
                 faults: FaultPlan::default(),
-                no_compile: false,
                 monitor_out: None,
             })
         );
-        let cmd = parse(&v(&[
-            "run", "--seed", "3", "--scale", "0.25", "--threads", "2", "--no-compile",
-        ]))
-        .unwrap();
+        let cmd = parse(&v(&["run", "--seed", "3", "--scale", "0.25", "--threads", "2"]))
+            .unwrap();
         assert_eq!(
             cmd,
             Command::Run(RunArgs {
@@ -682,7 +666,6 @@ mod tests {
                 scale: 0.25,
                 threads: 2,
                 faults: FaultPlan::default(),
-                no_compile: true,
                 monitor_out: None,
             })
         );

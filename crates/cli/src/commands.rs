@@ -79,15 +79,8 @@ fn run_demo(args: RunArgs) -> Result<String, CliError> {
         );
         (path.clone(), falcc_telemetry::monitor::install(spec))
     });
-    // The compiled serving plane is the default; --no-compile falls back
-    // to the interpreted online phase (bit-identical either way).
-    let preds = if args.no_compile {
-        falcc_telemetry::progress("classifying test split (interpreted online phase)");
-        model.predict_dataset(&split.test)
-    } else {
-        falcc_telemetry::progress("classifying test split (compiled serving plane)");
-        model.compile().predict_dataset(&split.test)
-    };
+    falcc_telemetry::progress("classifying test split (compiled serving plane)");
+    let preds = model.compile().predict_dataset(&split.test);
     if let Some((path, state)) = monitor {
         falcc_telemetry::monitor::uninstall();
         state
@@ -598,28 +591,16 @@ fn predict(args: PredictArgs) -> Result<String, CliError> {
     // JSON parsing or recompilation. Anything wrong with it — corrupt,
     // version skew, stale fingerprint — falls back to the JSON path with
     // the reason surfaced as progress and counted in telemetry.
-    if !args.no_compile && !args.no_artifact {
-        if let Some(Ok(mut compiled)) = load_artifact_for(&args.model) {
-            compiled.set_threads(args.threads);
-            let sensitive = sensitive_decl(compiled.schema());
-            let data = load_dataset(&args.data, &as_refs(&sensitive))?;
-            return render_predictions(compiled.predict_dataset(&data), &args.out);
-        }
-    }
-    let mut model = load_model(&args.model)?;
-    // The batched online phase fans out over worker threads; predictions
-    // are identical for every thread count.
-    model.set_threads(args.threads);
-    let sensitive = sensitive_decl(model.schema());
-    let data = load_dataset(&args.data, &as_refs(&sensitive))?;
-    // Serve through the compiled plane unless --no-compile asks for the
-    // interpreted online phase; predictions are bit-identical either way.
-    let preds = if args.no_compile {
-        model.predict_dataset(&data)
-    } else {
-        model.compile().predict_dataset(&data)
+    let artifact = if args.no_artifact { None } else { load_artifact_for(&args.model) };
+    let mut compiled = match artifact {
+        Some(Ok(compiled)) => compiled,
+        _ => load_model(&args.model)?.compile(),
     };
-    render_predictions(preds, &args.out)
+    // The batch pass fans out over worker threads; predictions are
+    // identical for every thread count.
+    compiled.set_threads(args.threads);
+    let data = load_model_data(compiled.schema(), &args.data)?;
+    render_predictions(compiled.predict_dataset(&data), &args.out)
 }
 
 /// Tries the binary-artifact fast path for the snapshot at `model_path`:
@@ -666,9 +647,8 @@ fn render_predictions(preds: Vec<u8>, out: &Option<String>) -> Result<String, Cl
 
 fn audit(args: ModelDataArgs) -> Result<String, CliError> {
     let model = load_model(&args.model)?;
-    let sensitive = sensitive_decl(model.schema());
-    let data = load_dataset(&args.data, &as_refs(&sensitive))?;
-    let preds = model.predict_dataset(&data);
+    let data = load_model_data(model.schema(), &args.data)?;
+    let preds = model.compile().predict_dataset(&data);
     let y = data.labels();
     let g = data.groups();
     let n_groups = data.group_index().len();
@@ -747,6 +727,23 @@ fn info(model_path: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// Loads the CSV at `path` for a model fitted on `schema`, refusing it
+/// unless its attribute columns are the model's, in the model's order.
+/// Rows are served by position, so a missing, moved, swapped or renamed
+/// column would otherwise panic or silently serve the wrong feature.
+fn load_model_data(schema: &falcc_dataset::Schema, path: &str) -> Result<Dataset, CliError> {
+    let data = load_dataset(path, &as_refs(&sensitive_decl(schema)))?;
+    let (expected, found) = (schema.attr_names(), data.schema().attr_names());
+    if found != expected {
+        return Err(CliError::runtime(format!(
+            "column mismatch in {path}: the model expects columns [{}], found [{}]",
+            expected.join(", "),
+            found.join(", ")
+        )));
+    }
+    Ok(data)
+}
+
 /// The `(name, domain)` sensitive declaration the model was trained with,
 /// read from its stored schema, for CSV loading by header name.
 fn sensitive_decl(schema: &falcc_dataset::Schema) -> Vec<(String, Vec<f64>)> {
@@ -763,7 +760,7 @@ fn as_refs(decl: &[(String, Vec<f64>)]) -> Vec<(&str, Vec<f64>)> {
 
 #[cfg(test)]
 mod tests {
-    use super::{load_artifact_for, FalccError};
+    use super::{emit_artifact, load_artifact_for, load_dataset, load_model, FalccError};
     use crate::args;
 
     fn v(items: &[&str]) -> Vec<String> {
@@ -845,13 +842,8 @@ mod tests {
             "predict", "--model", &model_path, "--data", &data_csv, "--no-artifact",
         ]))
         .unwrap();
-        let interpreted = crate::run(&v(&[
-            "predict", "--model", &model_path, "--data", &data_csv, "--no-compile",
-        ]))
-        .unwrap();
         assert_eq!(via_artifact.lines().count(), 151);
         assert_eq!(via_artifact, via_json, "artifact and JSON paths must agree");
-        assert_eq!(via_artifact, interpreted, "compiled and interpreted must agree");
         let served = load_artifact_for(&model_path);
         assert!(matches!(served, Some(Ok(_))), "fresh artifact serves");
 
@@ -921,13 +913,6 @@ mod tests {
         assert!(preds.starts_with("prediction\n"));
         assert_eq!(preds.lines().count(), 151);
 
-        // The interpreted escape hatch serves bit-identical predictions.
-        let interpreted = crate::run(&v(&[
-            "predict", "--model", &model_path, "--data", &test_csv, "--no-compile",
-        ]))
-        .unwrap();
-        assert_eq!(preds, interpreted);
-
         let audit_out =
             crate::run(&v(&["audit", "--model", &model_path, "--data", &test_csv]))
                 .unwrap();
@@ -938,6 +923,100 @@ mod tests {
         let info_out = crate::run(&v(&["info", "--model", &model_path])).unwrap();
         assert!(info_out.contains("local regions"), "{info_out}");
         assert!(info_out.contains("m0:"), "{info_out}");
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Copies the CSV at `src` to `dst` keeping the columns `order` picks,
+    /// in that order, and renaming header cells as `rename` says.
+    fn reshape_csv(
+        src: &str,
+        dst: &std::path::Path,
+        order: &[usize],
+        rename: &[(usize, &str)],
+    ) -> String {
+        let mut text = String::new();
+        for (n, line) in std::fs::read_to_string(src).unwrap().lines().enumerate() {
+            let cells: Vec<&str> = line.split(',').collect();
+            let mut picked: Vec<&str> = order.iter().map(|&c| cells[c]).collect();
+            if n == 0 {
+                for &(at, name) in rename {
+                    picked[at] = name;
+                }
+            }
+            text.push_str(&picked.join(","));
+            text.push('\n');
+        }
+        std::fs::write(dst, text).unwrap();
+        dst.to_string_lossy().into_owned()
+    }
+
+    #[test]
+    fn predict_and_audit_refuse_columns_that_differ_from_the_model() {
+        use falcc::FairClassifier;
+
+        let dir = std::env::temp_dir().join("falcc_cli_columns_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let train_csv = write_csv(&dir.join("train.csv"), 600, 1);
+        let test_csv = write_csv(&dir.join("test.csv"), 50, 2);
+        let model_path = dir.join("model.json").to_string_lossy().into_owned();
+        crate::run(&v(&[
+            "train", "--data", &train_csv, "--sensitive", "sex", "--out", &model_path,
+            "--clusters", "3", "--seed", "5",
+        ]))
+        .unwrap();
+
+        // A matching header serves exactly the reference's labels.
+        let model = load_model(&model_path).unwrap();
+        let data = load_dataset(&test_csv, &[("sex", vec![0.0, 1.0])]).unwrap();
+        let expected: String = std::iter::once("prediction".to_string())
+            .chain(model.predict_dataset(&data).iter().map(|z| z.to_string()))
+            .map(|line| line + "\n")
+            .collect();
+        let predict = |csv: &str, extra: &[&str]| {
+            let mut argv = vec!["predict", "--model", &model_path, "--data", csv];
+            argv.extend_from_slice(extra);
+            crate::run(&v(&argv))
+        };
+        assert_eq!(predict(&test_csv, &["--no-artifact"]).unwrap(), expected);
+
+        // `write_csv` columns: 0 = sex, 1 = f0, 2 = f1, 3 = label.
+        let reshaped = [
+            ("one column fewer", "sex, f0", vec![0, 1, 3], vec![]),
+            ("sensitive column moved", "f0, sex, f1", vec![1, 0, 2, 3], vec![]),
+            ("features swapped", "sex, f1, f0", vec![0, 2, 1, 3], vec![]),
+            ("columns renamed", "sex, a, b", vec![0, 1, 2, 3], vec![(1, "a"), (2, "b")]),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, (what, found, order, rename))| {
+            let csv = reshape_csv(&test_csv, &dir.join(format!("test{i}.csv")), &order, &rename);
+            (what, found, csv)
+        })
+        .collect::<Vec<_>>();
+        let assert_refused = |what: &str, found: &str, result: Result<String, crate::CliError>| {
+            let err = result.expect_err(what);
+            assert_eq!(err.exit_code, 1, "{what}: {}", err.message);
+            assert!(
+                err.message.contains("expects columns [sex, f0, f1], found [")
+                    && err.message.contains(&format!("found [{found}]")),
+                "{what}: {}",
+                err.message
+            );
+        };
+        for (what, found, csv) in &reshaped {
+            assert_refused(what, found, predict(csv, &["--no-artifact"]));
+            let audit = crate::run(&v(&["audit", "--model", &model_path, "--data", csv]));
+            assert_refused(what, found, audit);
+        }
+
+        // The artifact path checks the same columns.
+        emit_artifact(&model_path).unwrap();
+        assert!(matches!(load_artifact_for(&model_path), Some(Ok(_))));
+        assert_eq!(predict(&test_csv, &[]).unwrap(), expected);
+        for (what, found, csv) in &reshaped {
+            assert_refused(what, found, predict(csv, &[]));
+        }
 
         std::fs::remove_dir_all(&dir).ok();
     }

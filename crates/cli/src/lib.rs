@@ -94,11 +94,11 @@ USAGE:
                 [--proxy none|reweigh|remove] [--clusters auto|elbow|<k>]
                 [--val-split <0..1>] [--seed <u64>] [--tune] [--threads <n>]
   falcc predict --model <model.json> --data <csv> [--out <csv>] [--threads <n>]
-                [--no-compile] [--no-artifact]
+                [--no-artifact]
   falcc audit   --model <model.json> --data <csv>
   falcc info    --model <model.json>
   falcc run     [--seed <u64>] [--scale <0..1>] [--threads <n>]
-                [--inject <spec>] [--no-compile] [--monitor-out <jsonl>]
+                [--inject <spec>] [--monitor-out <jsonl>]
   falcc fit     --out <model.json> [--checkpoint-dir <dir>] [--resume]
                 [--emit-artifact] [--seed <u64>] [--rows <n>] [--threads <n>]
                 [--retry-budget <n>] [--crash-at <ordinal>:<phase>]
@@ -132,17 +132,18 @@ with --resume picks up after the last valid checkpoint and writes a model
 snapshot byte-identical to an uninterrupted run, at any --threads value.
 
 CSV format: header row, numeric cells, binary label in the last column.
-Sensitive columns must be 0/1-coded.
+Sensitive columns must be 0/1-coded. predict and audit require the
+model's attribute columns, with the names and in the order it was
+trained on; any other header is refused with a column-mismatch error.
 
 --threads 0 (the default) uses every available core. The thread count is
 a throughput knob only: trained models and predictions are bit-identical
 for every value.
 
-predict and run classify through the compiled serving plane (flattened
-inference artifacts with region-batched dispatch) by default;
---no-compile falls back to the interpreted online phase. The two planes
-produce bit-identical predictions — the flag only trades compile time
-against per-row throughput.
+predict, audit and run classify through the compiled serving plane
+(flattened inference artifacts with region-batched dispatch), which
+serves labels bit-identical to the fitted model's plain reference
+online phase.
 
 `fit --emit-artifact` additionally compiles the snapshot and writes the
 serving plane as a binary artifact next to the JSON (same path, .falccb

@@ -1,5 +1,7 @@
-//! The compiled serving plane: flattened inference artifacts with
-//! region-batched dispatch.
+//! The serving plane: flattened inference artifacts with region-batched
+//! dispatch. Every served label goes through here; [`FalccModel`]'s own
+//! online entry points ([`crate::online`]) are the plain reference this
+//! plane is checked against.
 //!
 //! [`FalccModel::compile`] lowers a fitted model into a [`CompiledModel`]
 //! built for the online hot path:
@@ -12,7 +14,7 @@
 //!   linear/Bayes members get dense parameter slabs.
 //! * **Flat region match** — the centroids move into one contiguous
 //!   [`falcc_clustering::CentroidMatrix`], scanned with the same exact
-//!   distances and tie-break as the interpreted match.
+//!   distances and tie-break as the reference's nearest-centroid match.
 //! * **Deduplicated dispatch** — `dispatch[region · n_groups + group]`
 //!   maps straight to a compiled-member id; a pool member referenced by
 //!   many (region, group) cells is compiled exactly once
@@ -26,25 +28,33 @@
 //! this keeps the batch output equal to the row-by-row sequence for
 //! every thread count.
 //!
-//! **Equivalence contract**: every entry point is *bit-identical* to its
-//! interpreted counterpart — [`CompiledModel::try_classify`] to
+//! The live serving monitors ([`falcc_telemetry::monitor`]) and the
+//! `online.*` metrics are fed from here only.
+//!
+//! **Equivalence contract**: every entry point is *bit-identical* to the
+//! reference — [`CompiledModel::try_classify`] to
 //! [`FalccModel::try_classify`] (same `Result<u8, RowFault>`, including
 //! injected faults), [`CompiledModel::classify_batch`] to
 //! [`FalccModel::classify_batch`], and the [`FairClassifier`]
-//! `predict_dataset` override to the interpreted one. The
-//! `compiled_equivalence` suite and the `exp_serving --smoke` CI gate
-//! pin this.
+//! `predict_dataset` override to [`FalccModel`]'s row loop, for every
+//! thread count. The `compiled_equivalence` suite pins this, and the
+//! benchmark checks every row it serves against the reference.
 
 use crate::error::RowFault;
 use crate::faults::{FaultPlan, FaultSite};
 use crate::framework::FairClassifier;
 use crate::offline::FalccModel;
-use crate::online::{project_row_into, sq_dist, validate_row_against, PROJ_STACK_DIMS};
+use crate::online::validate_row_against;
 use crate::proxy::ProxyOutcome;
 use falcc_clustering::CentroidMatrix;
-use falcc_dataset::{Dataset, GroupId, GroupIndex, Schema};
+use falcc_dataset::{AttrId, Dataset, GroupId, GroupIndex, Schema};
 use falcc_models::{parallel_map, parallel_map_range, FlatPool};
 use std::sync::Arc;
+
+/// Row projections at or below this width use a stack buffer instead of
+/// a heap allocation (FALCC's non-sensitive projections are a handful of
+/// attributes; anything wider falls back to a `Vec`).
+const PROJ_STACK_DIMS: usize = 32;
 
 /// Bucket slices handed to worker threads. Large buckets are cut into
 /// chunks this size so parallelism survives a dispatch table dominated by
@@ -53,6 +63,32 @@ const BUCKET_CHUNK: usize = 512;
 
 /// Assignment sentinel for rows that failed validation.
 const SKIP: u32 = u32::MAX;
+
+/// Left-to-right squared Euclidean distance, feeding the live monitors'
+/// distance-to-centroid digests (the offline fallback resolver uses the
+/// same arithmetic).
+fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+}
+
+/// Projects `row` into `out` — the same arithmetic, in the same order, as
+/// [`falcc_dataset::Dataset::project_row`], writing into caller-provided
+/// storage instead of allocating.
+fn project_row_into(row: &[f64], attrs: &[AttrId], weights: Option<&[f64]>, out: &mut [f64]) {
+    debug_assert_eq!(out.len(), attrs.len());
+    match weights {
+        Some(w) => {
+            for ((o, &a), &wa) in out.iter_mut().zip(attrs).zip(w) {
+                *o = row[a] * wa;
+            }
+        }
+        None => {
+            for (o, &a) in out.iter_mut().zip(attrs) {
+                *o = row[a];
+            }
+        }
+    }
+}
 
 /// Validation metadata the serving plane carries alongside its flat
 /// slabs: everything a row needs before it reaches a compiled member —
@@ -73,8 +109,9 @@ pub(crate) struct ServeMeta {
 /// loaded without the source model ever existing in the process.
 ///
 /// The thread count and fault plan are snapshotted from the source at
-/// [`FalccModel::compile`] time (and default to auto / empty on artifact
-/// load); [`CompiledModel::set_threads`] / [`CompiledModel::set_fault_plan`]
+/// [`FalccModel::compile`] time — the fit's thread count, or auto (0)
+/// for a restored model — and default to auto / empty on artifact load;
+/// [`CompiledModel::set_threads`] / [`CompiledModel::set_fault_plan`]
 /// adjust them afterwards.
 pub struct CompiledModel {
     pub(crate) meta: ServeMeta,
@@ -92,7 +129,7 @@ impl FalccModel {
     ///
     /// Compilation cost is `serve.compile_ns`; the deduplicated member
     /// count lands in `serve.dedup_models`. Every classification entry
-    /// point of the result is bit-identical to the interpreted one here.
+    /// point of the result is bit-identical to the reference one here.
     pub fn compile(&self) -> CompiledModel {
         let _sp = falcc_telemetry::span("serve.compile");
         let t0 = std::time::Instant::now();
@@ -136,7 +173,8 @@ impl FalccModel {
 
 impl CompiledModel {
     /// Sets the worker-thread count for the batch entry points
-    /// (0 = available parallelism), like [`FalccModel::set_threads`].
+    /// (0 = available parallelism). A throughput knob only: predictions
+    /// are bit-identical for every value.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads;
     }
@@ -178,7 +216,7 @@ impl CompiledModel {
     /// [`FalccModel::try_classify`], allocation-free in steady state.
     ///
     /// # Errors
-    /// The same first [`RowFault`] the interpreted path reports.
+    /// The same first [`RowFault`] the reference reports.
     pub fn try_classify(&self, row: &[f64]) -> Result<u8, RowFault> {
         let monitoring = falcc_telemetry::monitor::active();
         let t0 = monitoring.then(std::time::Instant::now);
@@ -200,24 +238,11 @@ impl CompiledModel {
                 return Err(fault);
             }
         };
-        let proxy = &self.meta.proxy;
-        let mut stack = [0.0f64; PROJ_STACK_DIMS];
-        let heap;
-        let projected: &[f64] = if proxy.attrs.len() <= PROJ_STACK_DIMS {
-            let buf = &mut stack[..proxy.attrs.len()];
-            project_row_into(row, &proxy.attrs, proxy.weights.as_deref(), buf);
-            buf
-        } else {
-            heap = proxy.project_row(row);
-            &heap
-        };
-        let region = self.match_region(projected);
+        let (region, dist) = self.route(row, monitoring);
         let pred = self.pool.predict_row(self.member_of(region, group) as usize, row);
-        if monitoring {
-            // `CentroidMatrix::row` returns the source centroid bits, so
-            // the distance matches the interpreted plane's exactly.
+        if let Some(dist) = dist {
             falcc_telemetry::monitor::single(
-                Some((region, group.index(), sq_dist(projected, self.centroids.row(region)))),
+                Some((region, group.index(), dist)),
                 Some(pred),
                 t0.map_or(0, |t| t.elapsed().as_nanos() as u64),
             );
@@ -237,8 +262,33 @@ impl CompiledModel {
         }
     }
 
-    /// Nearest-centroid region match over the flat matrix, with the same
-    /// telemetry the interpreted path records.
+    /// The routing sequence every entry point shares: project `row` (into
+    /// a stack buffer up to [`PROJ_STACK_DIMS`] attributes), match its
+    /// region, and — only when `observed` by a live monitor — measure its
+    /// squared distance to the matched centroid. `CentroidMatrix::row`
+    /// returns the source centroid bits, so that distance is the one the
+    /// fitted centroids give.
+    #[inline]
+    fn route(&self, row: &[f64], observed: bool) -> (usize, Option<f64>) {
+        let proxy = &self.meta.proxy;
+        let mut stack = [0.0f64; PROJ_STACK_DIMS];
+        let heap;
+        let projected: &[f64] = if proxy.attrs.len() <= PROJ_STACK_DIMS {
+            let buf = &mut stack[..proxy.attrs.len()];
+            project_row_into(row, &proxy.attrs, proxy.weights.as_deref(), buf);
+            buf
+        } else {
+            heap = proxy.project_row(row);
+            &heap
+        };
+        let region = self.match_region(projected);
+        let dist = observed.then(|| sq_dist(projected, self.centroids.row(region)));
+        (region, dist)
+    }
+
+    /// Nearest-centroid region match over the flat matrix, timed into
+    /// `online.match_ns` and counted in `online.samples` while telemetry
+    /// records.
     #[inline]
     fn match_region(&self, projected: &[f64]) -> usize {
         if falcc_telemetry::enabled() {
@@ -263,15 +313,13 @@ impl CompiledModel {
     /// prediction pass: each distinct large member runs once over its
     /// whole bucket (cache-resident slabs, zero per-row allocations),
     /// and predictions scatter back to input order. Projection uses the
-    /// same arithmetic in the same order as the interpreted batch
-    /// buffer, so the assignments are identical; rejected rows never
-    /// reach projection and surface the same fault the interpreted
-    /// plane records.
+    /// same arithmetic in the same order as the reference's, so the
+    /// assignments are identical; rejected rows never reach projection
+    /// and surface the same fault the reference reports.
     pub fn classify_batch(&self, rows: &[Vec<f64>]) -> Vec<Result<u8, RowFault>> {
         let _sp = falcc_telemetry::span("serve.classify_batch");
         let rec = falcc_telemetry::monitor::batch(rows.len());
         let t0 = rec.as_ref().map(|_| std::time::Instant::now());
-        let proxy = &self.meta.proxy;
         let plan = &self.faults;
         let threads = self.threads;
         let checked: Vec<Result<u32, RowFault>> =
@@ -284,24 +332,9 @@ impl CompiledModel {
                     &self.meta.group_index,
                     &rows[i],
                 )?;
-                let mut stack = [0.0f64; PROJ_STACK_DIMS];
-                let heap;
-                let projected: &[f64] = if proxy.attrs.len() <= PROJ_STACK_DIMS {
-                    let buf = &mut stack[..proxy.attrs.len()];
-                    project_row_into(&rows[i], &proxy.attrs, proxy.weights.as_deref(), buf);
-                    buf
-                } else {
-                    heap = proxy.project_row(&rows[i]);
-                    &heap
-                };
-                let region = self.match_region(projected);
-                if let Some(rec) = &rec {
-                    rec.stash(
-                        i,
-                        region,
-                        group.index(),
-                        sq_dist(projected, self.centroids.row(region)),
-                    );
+                let (region, dist) = self.route(&rows[i], rec.is_some());
+                if let (Some(rec), Some(dist)) = (&rec, dist) {
+                    rec.stash(i, region, group.index(), dist);
                 }
                 Ok(self.member_of(region, group))
             });
@@ -404,44 +437,26 @@ impl FairClassifier for CompiledModel {
     }
 
     /// Bucketed override for schema-validated datasets — bit-identical
-    /// to the interpreted [`FalccModel`] `predict_dataset`. Like
+    /// to [`FalccModel`]'s row loop. Like
     /// [`CompiledModel::classify_batch`], group resolution, projection,
-    /// and region match fuse into one pass per row (the stack-buffer
-    /// projection performs the same arithmetic as the interpreted
-    /// batch buffer, so the assignments are identical).
+    /// and region match fuse into one pass per row.
     fn predict_dataset(&self, ds: &Dataset) -> Vec<u8> {
         let _sp = falcc_telemetry::span("serve.classify_batch");
         let rec = falcc_telemetry::monitor::batch(ds.len());
         let t0 = rec.as_ref().map(|_| std::time::Instant::now());
-        let proxy = &self.meta.proxy;
         let threads = self.threads;
         let assignment: Vec<u32> = parallel_map_range(ds.len(), threads, |i| {
-            // Same group resolution as the interpreted dataset path (the
-            // model's own index; dataset rows passed schema validation).
+            // The model's own group index; dataset rows passed schema
+            // validation at construction.
             let group = match self.meta.group_index.group_of(ds.row(i)) {
                 Ok(g) => g,
                 Err(_) => {
                     panic!("dataset row escaped validation: {}", RowFault::GroupOutOfDomain)
                 }
             };
-            let mut stack = [0.0f64; PROJ_STACK_DIMS];
-            let heap;
-            let projected: &[f64] = if proxy.attrs.len() <= PROJ_STACK_DIMS {
-                let buf = &mut stack[..proxy.attrs.len()];
-                project_row_into(ds.row(i), &proxy.attrs, proxy.weights.as_deref(), buf);
-                buf
-            } else {
-                heap = proxy.project_row(ds.row(i));
-                &heap
-            };
-            let region = self.match_region(projected);
-            if let Some(rec) = &rec {
-                rec.stash(
-                    i,
-                    region,
-                    group.index(),
-                    sq_dist(projected, self.centroids.row(region)),
-                );
+            let (region, dist) = self.route(ds.row(i), rec.is_some());
+            if let (Some(rec), Some(dist)) = (&rec, dist) {
+                rec.stash(i, region, group.index(), dist);
             }
             self.member_of(region, group)
         });
@@ -520,9 +535,9 @@ mod tests {
         model.set_fault_plan(plan);
         let compiled = model.compile();
         let rows: Vec<Vec<f64>> = (0..8).map(|i| split.test.row(i).to_vec()).collect();
-        let interpreted = model.classify_batch(&rows);
+        let reference = model.classify_batch(&rows);
         let out = compiled.classify_batch(&rows);
         assert!(out[2].is_err());
-        assert_eq!(interpreted, out);
+        assert_eq!(reference, out);
     }
 }

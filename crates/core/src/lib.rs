@@ -23,6 +23,9 @@
 //!
 //! The **online phase** (§3.7) is then a nearest-centroid lookup plus a
 //! single model invocation — the efficiency claim of the paper's Fig. 6.
+//! Serve it through [`FalccModel::compile`], which lowers the fitted model
+//! into the flat [`CompiledModel`]; the model's own online entry points
+//! ([`online`]) are the plain reference that plane is checked against.
 //!
 //! ## Quick start
 //!
@@ -35,7 +38,7 @@
 //! let mut config = FalccConfig::default();
 //! config.scale_for_tests(); // keep the doctest fast
 //! let model = FalccModel::fit(&split.train, &split.validation, &config).unwrap();
-//! let prediction = model.predict_row(split.test.row(0));
+//! let prediction = model.compile().predict_row(split.test.row(0));
 //! assert!(prediction <= 1);
 //! ```
 //!

@@ -37,6 +37,12 @@ impl GridCheckpoint for JournalGrid<'_> {
     }
 }
 
+/// Within this loss distance of a region's best combination, assessment
+/// prefers the combination using the *fewest distinct models*: near-ties
+/// are common on small clusters, and gratuitous per-group model switching
+/// hurts individual consistency without buying fairness.
+const TIE_TOLERANCE: f64 = 1e-3;
+
 /// One region's assessment outcome, as journaled per region and fed to
 /// fallback resolution: the winning combination (`None` for a degenerate
 /// region) plus the per-group presence mask.
@@ -60,13 +66,13 @@ pub struct FalccModel {
     pub(crate) group_index: falcc_dataset::GroupIndex,
     pub(crate) loss: LossConfig,
     pub(crate) name: String,
-    /// Worker threads for batched online classification (0 = available
-    /// parallelism). Carried over from [`FalccConfig::threads`] at fit
-    /// time; a throughput knob only — predictions are identical for every
-    /// value.
+    /// The fit's worker-thread count (0 = available parallelism), carried
+    /// over from [`FalccConfig::threads`] as the starting thread count of
+    /// [`Self::compile`]'s serving plane; 0 on a restored model.
     pub(crate) threads: usize,
     /// Fault-injection schedule carried over from the fitting config so
-    /// the online phase honours [`FaultSite::NonFiniteRow`] injections.
+    /// `classify_batch` (and the plane [`Self::compile`] builds) honour
+    /// [`FaultSite::NonFiniteRow`] injections.
     /// Empty in production; never serialised (restored models get the
     /// default plan).
     pub(crate) faults: FaultPlan,
@@ -361,11 +367,7 @@ impl FalccModel {
             })
         };
 
-        // Within a numerical tolerance of the best loss, prefer the
-        // combination using the *fewest distinct models*: near-ties are
-        // common on small clusters, and gratuitous per-group model
-        // switching hurts individual consistency without buying fairness.
-        const TIE_TOLERANCE: f64 = 1e-3;
+        // Near-ties within `TIE_TOLERANCE` go to the fewest distinct models.
         let distinct_models = |combo: &[usize]| -> usize {
             let mut sorted = combo.to_vec();
             sorted.sort_unstable();
@@ -564,21 +566,16 @@ impl FalccModel {
         self.name = name.into();
     }
 
-    /// Worker threads the batched online phase uses (0 = available
-    /// parallelism).
+    /// The fit's worker-thread count (0 = available parallelism; 0 after
+    /// a restore). The reference online phase is serial; this is only the
+    /// thread count [`Self::compile`] hands the serving plane, which
+    /// [`crate::CompiledModel::set_threads`] adjusts.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Overrides the worker-thread count for batched classification
-    /// (0 = available parallelism). A throughput knob only: predictions
-    /// are bit-identical for every value.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
-    }
-
-    /// The fault-injection schedule the online phase honours (empty in
-    /// production).
+    /// The fault-injection schedule [`Self::classify_batch`] and the
+    /// compiled plane honour (empty in production).
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.faults
     }
@@ -793,13 +790,66 @@ mod tests {
         }
     }
 
+    /// Brute-force choice of a single region's combination: every
+    /// candidate scored with `loss` on every validation row, the
+    /// candidates within [`TIE_TOLERANCE`] of the best kept, and among
+    /// those the fewest distinct models winning, then the lowest loss,
+    /// then the first candidate. Also returns whether the near-tie rule
+    /// decided it, i.e. the choice is not the plain lowest-loss one.
+    fn single_region_oracle(
+        pool: &ModelPool,
+        validation: &Dataset,
+        loss: &LossConfig,
+    ) -> (Vec<usize>, bool) {
+        let n_groups = validation.group_index().len();
+        let candidates = enumerate_combinations(pool, n_groups);
+        let preds: Vec<Vec<u8>> =
+            pool.models.iter().map(|m| predict_dataset(m.model.as_ref(), validation)).collect();
+        let (y, g) = (validation.labels(), validation.groups());
+        let losses: Vec<f64> = candidates
+            .iter()
+            .map(|combo| {
+                let z: Vec<u8> =
+                    (0..validation.len()).map(|i| preds[combo[g[i].index()]][i]).collect();
+                loss.evaluate(y, &z, g, n_groups)
+            })
+            .collect();
+        let by_loss = |a: &usize, b: &usize| losses[*a].total_cmp(&losses[*b]);
+        let distinct = |c: usize| {
+            candidates[c].iter().collect::<std::collections::BTreeSet<_>>().len()
+        };
+        let lowest = (0..candidates.len()).min_by(by_loss).unwrap();
+        let chosen = (0..candidates.len())
+            .filter(|&c| losses[c] <= losses[lowest] + TIE_TOLERANCE)
+            .min_by(|a, b| distinct(*a).cmp(&distinct(*b)).then(by_loss(a, b)))
+            .unwrap();
+        (candidates[chosen].clone(), chosen != lowest)
+    }
+
     #[test]
     fn single_cluster_recovers_global_fairness_mode() {
-        let split = quick_split(600, 2);
-        let mut cfg = quick_config();
-        cfg.clustering = ClusterSpec::FixedK(1);
-        let model = FalccModel::fit(&split.train, &split.validation, &cfg).unwrap();
-        assert_eq!(model.n_regions(), 1);
+        // With one region FALCC is a global method: the region's
+        // combination is the brute-force best over the whole validation
+        // set — at λ = 1, the accuracy-optimal combination.
+        for seed in [2u64, 3, 10] {
+            let split = quick_split(600, seed);
+            for lambda in [0.0, 0.5, 1.0] {
+                let mut cfg = quick_config();
+                cfg.clustering = ClusterSpec::FixedK(1);
+                cfg.seed = seed;
+                cfg.loss.lambda = lambda;
+                let model = FalccModel::fit(&split.train, &split.validation, &cfg).unwrap();
+                assert_eq!(model.n_regions(), 1);
+                let (expected, near_tie) =
+                    single_region_oracle(model.pool(), &split.validation, &cfg.loss);
+                assert_eq!(model.combo(0), expected, "seed {seed}, λ = {lambda}");
+                if (seed, lambda) == (10, 1.0) {
+                    // A one-model combination within the tolerance of a
+                    // lower-loss mixed one: the near-tie rule decides.
+                    assert!(near_tie, "seed {seed}, λ = {lambda} is no longer a near tie");
+                }
+            }
+        }
     }
 
     #[test]

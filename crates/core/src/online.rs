@@ -1,56 +1,27 @@
-//! The FALCC online phase (paper §3.7): sample processing → cluster
-//! matching → model lookup → classification.
+//! The FALCC online phase (paper §3.7) as a plain reference: project the
+//! sample, find the nearest region, and ask the pool member that region's
+//! combination names for the sample's sensitive group.
 //!
 //! All three steps are cheap: projecting the sample is O(d), the nearest
 //! centroid scan is O(k·d), and the model lookup is O(1). Compare with
 //! FALCES, which per sample computes kNN over the validation set *and*
 //! assesses every model combination on those neighbours.
+//!
+//! Serving goes through the compiled plane ([`FalccModel::compile`]);
+//! these entry points are the reference it is checked against — by the
+//! `compiled_equivalence` suite and by the benchmark's per-row output
+//! check. To keep that a comparison of two independent code paths, the
+//! reference is deliberately plain: one serial loop, no telemetry, no
+//! live monitors, no threads, and nothing shared with the compiled plane
+//! but [`validate_row_against`], so the fault order cannot drift.
 
 use crate::error::RowFault;
 use crate::faults::FaultSite;
 use crate::framework::FairClassifier;
 use crate::offline::FalccModel;
-use falcc_dataset::{AttrId, GroupId, GroupIndex};
-use falcc_models::parallel_map_range;
+use falcc_dataset::{GroupId, GroupIndex};
 
-/// Single-row projections at or below this width use a stack buffer
-/// instead of a heap allocation (FALCC's non-sensitive projections are a
-/// handful of attributes; anything wider falls back to a `Vec`).
-pub(crate) const PROJ_STACK_DIMS: usize = 32;
-
-/// Left-to-right squared Euclidean distance — shared by both serving
-/// planes to feed the live monitors' distance-to-centroid digests, so the
-/// streams agree bit-for-bit (the offline fallback resolver uses the same
-/// arithmetic).
-pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// Projects `row` into `out` — the same arithmetic, in the same order, as
-/// [`falcc_dataset::Dataset::project_row`], writing into caller-provided
-/// storage instead of allocating.
-pub(crate) fn project_row_into(
-    row: &[f64],
-    attrs: &[AttrId],
-    weights: Option<&[f64]>,
-    out: &mut [f64],
-) {
-    debug_assert_eq!(out.len(), attrs.len());
-    match weights {
-        Some(w) => {
-            for ((o, &a), &wa) in out.iter_mut().zip(attrs).zip(w) {
-                *o = row[a] * wa;
-            }
-        }
-        None => {
-            for (o, &a) in out.iter_mut().zip(attrs) {
-                *o = row[a];
-            }
-        }
-    }
-}
-
-/// Row validation shared by the interpreted and compiled serving planes —
+/// Row validation shared by the reference and the compiled serving plane —
 /// both defer to this one function so the fault order (width, then
 /// finiteness, then group domain) can never drift between them.
 /// Resolving the group *is* the domain check, so callers must not look it
@@ -101,196 +72,27 @@ impl FalccModel {
     /// # Errors
     /// The first [`RowFault`] detected, checked in that order.
     pub fn try_classify(&self, row: &[f64]) -> Result<u8, RowFault> {
-        // The monitor gate is one acquire load; when no monitor is
-        // installed the path below computes exactly what it always did.
-        let monitoring = falcc_telemetry::monitor::active();
-        let t0 = monitoring.then(std::time::Instant::now);
-        // Validation resolves the sensitive group as a side effect; thread
-        // it through instead of looking it up a second time.
-        let group = match self.validate_row(row) {
-            Ok(g) => g,
-            Err(fault) => {
-                falcc_telemetry::counters::ONLINE_ROWS_REJECTED.incr();
-                if monitoring {
-                    falcc_telemetry::monitor::single(
-                        None,
-                        None,
-                        t0.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                    );
-                }
-                return Err(fault);
-            }
-        };
-        let proxy = self.proxy_outcome();
-        // Steady-state the single-row path allocates nothing: the
-        // projection lands in a stack buffer (same arithmetic as the
-        // heap-allocating `project_row`, so the same prediction).
-        let mut stack = [0.0f64; PROJ_STACK_DIMS];
-        let heap;
-        let projected: &[f64] = if proxy.attrs.len() <= PROJ_STACK_DIMS {
-            let buf = &mut stack[..proxy.attrs.len()];
-            project_row_into(row, &proxy.attrs, proxy.weights.as_deref(), buf);
-            buf
-        } else {
-            heap = proxy.project_row(row);
-            &heap
-        };
-        let (pred, region) = self.classify_routed_in(row, projected, group);
-        if monitoring {
-            falcc_telemetry::monitor::single(
-                Some((
-                    region,
-                    group.index(),
-                    sq_dist(projected, &self.kmeans().centroids[region]),
-                )),
-                Some(pred),
-                t0.map_or(0, |t| t.elapsed().as_nanos() as u64),
-            );
-        }
-        Ok(pred)
+        let group = validate_row_against(self.schema().n_attrs(), self.group_index(), row)?;
+        let member = self.combo(self.assign_region(row))[group.index()];
+        Ok(self.pool().models[member].model.predict_row(row))
     }
 
-    /// Validation shared by the single-row and batch entry points,
-    /// returning the row's sensitive group on success — resolving the
-    /// group *is* the domain check, so callers must not look it up again.
-    ///
-    /// # Errors
-    /// The first [`RowFault`] detected: width, then finiteness, then
-    /// group domain.
-    pub(crate) fn validate_row(&self, row: &[f64]) -> Result<GroupId, RowFault> {
-        validate_row_against(self.schema().n_attrs(), self.group_index(), row)
-    }
-
-    /// Classification of one sample whose projection is already computed
-    /// and whose sensitive group is already resolved — the batch paths
-    /// project a whole batch into one flat buffer and feed each row's
-    /// slice here, instead of allocating one projection per call. The
-    /// projection arithmetic is identical either way, so so is the
-    /// prediction. Returns the prediction *and* the matched region, which
-    /// the callers feed to the live monitors.
-    fn classify_routed_in(&self, row: &[f64], projected: &[f64], group: GroupId) -> (u8, usize) {
-        // Both arms run the identical match; the enabled arm additionally
-        // times it. The disabled path never reads the clock.
-        let cluster = if falcc_telemetry::enabled() {
-            let t0 = std::time::Instant::now();
-            let cluster = self.kmeans().predict(projected);
-            falcc_telemetry::histograms::ONLINE_MATCH_NS.record_ns(t0.elapsed());
-            falcc_telemetry::counters::ONLINE_SAMPLES.incr();
-            cluster
-        } else {
-            self.kmeans().predict(projected)
-        };
-        let model_idx = self.combo(cluster)[group.index()];
-        (self.pool().models[model_idx].model.predict_row(row), cluster)
-    }
-
-    /// The online phase for a batch of samples, fanned out over worker
-    /// threads ([`Self::threads`], 0 = available parallelism).
-    ///
-    /// Each sample's classification is independent — region assignment,
-    /// combination lookup, and model prediction read only shared fitted
-    /// state — and results come back in input order, so the output equals
-    /// `rows.iter().map(|r| self.try_classify(r))` exactly, for every
-    /// thread count.
-    ///
-    /// Malformed rows degrade to a per-row [`RowFault`] — one poisoned
-    /// sample never poisons (or panics) the rest of the batch. Rows armed
-    /// as [`FaultSite::NonFiniteRow`] in the model's fault plan are
-    /// rejected as if they carried a NaN in column 0.
+    /// The online phase for a batch of samples: [`Self::try_classify`] on
+    /// each row in turn, so one malformed row degrades to its own
+    /// [`RowFault`] and never poisons (or panics) the rest of the batch.
+    /// Rows armed as [`FaultSite::NonFiniteRow`] in the model's fault plan
+    /// are rejected as if they carried a NaN in column 0.
     pub fn classify_batch(&self, rows: &[Vec<f64>]) -> Vec<Result<u8, RowFault>> {
-        let _sp = falcc_telemetry::span("online.classify_batch");
-        // One ordinal block per batch; workers stash routes lock-free and
-        // the fold happens once at the end, so window contents are
-        // identical for every thread count.
-        let rec = falcc_telemetry::monitor::batch(rows.len());
-        let t0 = rec.as_ref().map(|_| std::time::Instant::now());
-        let proxy = self.proxy_outcome();
         let plan = self.fault_plan();
-        // Validation comes first because the shared projection pass
-        // indexes every row by schema position — a short row would fault
-        // inside projection, before any per-row error could be produced.
-        // It also resolves each valid row's group, consumed downstream
-        // instead of a second lookup.
-        let checked: Vec<Result<GroupId, RowFault>> = rows
-            .iter()
+        rows.iter()
             .enumerate()
             .map(|(i, row)| {
                 if plan.fires(FaultSite::NonFiniteRow, i as u64) {
                     return Err(RowFault::NonFinite { column: 0 });
                 }
-                self.validate_row(row)
+                self.try_classify(row)
             })
-            .collect();
-        let rejected = checked.iter().filter(|r| r.is_err()).count();
-        let out = if rejected == 0 {
-            // Happy path: one flat projection buffer for the whole batch.
-            let projected = falcc_dataset::Dataset::project_rows(
-                rows,
-                &proxy.attrs,
-                proxy.weights.as_deref(),
-            );
-            parallel_map_range(rows.len(), self.threads(), |i| match &checked[i] {
-                Ok(group) => {
-                    let (pred, region) =
-                        self.classify_routed_in(&rows[i], projected.row(i), *group);
-                    if let Some(rec) = &rec {
-                        rec.stash(
-                            i,
-                            region,
-                            group.index(),
-                            sq_dist(projected.row(i), &self.kmeans().centroids[region]),
-                        );
-                    }
-                    Ok(pred)
-                }
-                Err(fault) => Err(fault.clone()),
-            })
-        } else {
-            falcc_telemetry::counters::ONLINE_ROWS_REJECTED.add(rejected as u64);
-            if falcc_telemetry::enabled() {
-                falcc_telemetry::event(
-                    "online.rows_rejected",
-                    format!("{rejected} of {} batch rows rejected", rows.len()),
-                );
-            }
-            // Degraded path: substitute a neutral stand-in for each
-            // rejected row so the batch projection stays shape-safe, then
-            // surface the recorded fault instead of the stand-in's
-            // prediction.
-            let stand_in = vec![0.0; self.schema().n_attrs()];
-            let safe: Vec<Vec<f64>> = rows
-                .iter()
-                .zip(&checked)
-                .map(|(row, check)| if check.is_err() { stand_in.clone() } else { row.clone() })
-                .collect();
-            let projected = falcc_dataset::Dataset::project_rows(
-                &safe,
-                &proxy.attrs,
-                proxy.weights.as_deref(),
-            );
-            parallel_map_range(rows.len(), self.threads(), |i| match &checked[i] {
-                Ok(group) => {
-                    let (pred, region) =
-                        self.classify_routed_in(&rows[i], projected.row(i), *group);
-                    if let Some(rec) = &rec {
-                        rec.stash(
-                            i,
-                            region,
-                            group.index(),
-                            sq_dist(projected.row(i), &self.kmeans().centroids[region]),
-                        );
-                    }
-                    Ok(pred)
-                }
-                Err(fault) => Err(fault.clone()),
-            })
-        };
-        if let (Some(rec), Some(t0)) = (rec, t0) {
-            // Rejected rows never stashed a route; commit folds them into
-            // the window's rejection tally.
-            rec.commit(|i| out[i].as_ref().ok().copied(), t0.elapsed().as_nanos() as u64);
-        }
-        out
+            .collect()
     }
 }
 
@@ -301,41 +103,6 @@ impl FairClassifier for FalccModel {
 
     fn name(&self) -> &str {
         self.name_str()
-    }
-
-    /// Batched override of the default row-by-row loop: same results
-    /// (ordered merge, no per-thread state, one batch-level projection
-    /// buffer instead of one allocation per sample), higher throughput.
-    fn predict_dataset(&self, ds: &falcc_dataset::Dataset) -> Vec<u8> {
-        let _sp = falcc_telemetry::span("online.classify_batch");
-        let rec = falcc_telemetry::monitor::batch(ds.len());
-        let t0 = rec.as_ref().map(|_| std::time::Instant::now());
-        let proxy = self.proxy_outcome();
-        let projected = ds.project(&proxy.attrs, proxy.weights.as_deref());
-        let preds = parallel_map_range(ds.len(), self.threads(), |i| {
-            // Dataset rows passed schema validation at construction; a
-            // group lookup can only fail on an unvalidated row.
-            let group = match self.group_index().group_of(ds.row(i)) {
-                Ok(g) => g,
-                Err(_) => {
-                    panic!("caller passed an unvalidated row: {}", RowFault::GroupOutOfDomain)
-                }
-            };
-            let (pred, region) = self.classify_routed_in(ds.row(i), projected.row(i), group);
-            if let Some(rec) = &rec {
-                rec.stash(
-                    i,
-                    region,
-                    group.index(),
-                    sq_dist(projected.row(i), &self.kmeans().centroids[region]),
-                );
-            }
-            pred
-        });
-        if let (Some(rec), Some(t0)) = (rec, t0) {
-            rec.commit(|i| Some(preds[i]), t0.elapsed().as_nanos() as u64);
-        }
-        preds
     }
 }
 

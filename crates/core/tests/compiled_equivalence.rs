@@ -1,12 +1,14 @@
-//! Compiled-vs-interpreted equivalence suite.
+//! Serving-plane equivalence suite.
 //!
 //! The compiled serving plane (`FalccModel::compile`) promises *bit
-//! identity* with the interpreted online phase: for any fitted model and
-//! any input — valid, malformed, or fault-injected — every entry point
-//! returns exactly the same `Result<u8, RowFault>` sequence, at every
-//! thread count. This suite pins that promise over randomised pools,
-//! region counts, rows, and batch compositions, and checks every plane
-//! against a brute-force oracle of the paper's online phase.
+//! identity* with `FalccModel`'s plain reference online phase: for any
+//! fitted model and any input — valid, malformed, or fault-injected —
+//! every entry point returns exactly the same `Result<u8, RowFault>`
+//! sequence, at every thread count of the serving plane (the reference
+//! is serial). This suite pins that promise over randomised pools,
+//! region counts, rows, and batch compositions, and checks the
+//! reference, the compiled plane and the artifact-loaded plane against a
+//! brute-force oracle of the paper's online phase.
 
 use std::sync::OnceLock;
 
@@ -103,24 +105,15 @@ fn batches_with_malformed_rows_are_identical_at_all_thread_counts() {
         std::env::var("FALCC_TEST_THREADS").ok().and_then(|v| v.parse().ok());
     for (fixture_idx, (model, split)) in fixtures().iter().enumerate() {
         let rows = mixed_batch(split, 40);
-        let mut model = model.clone();
-        let mut reference = None;
+        let reference = model.classify_batch(&rows);
+        let mut compiled = model.compile();
         for threads in THREAD_COUNTS.into_iter().chain(env_threads) {
-            model.set_threads(threads);
-            let interpreted = model.classify_batch(&rows);
-            let compiled = model.compile();
-            let served = compiled.classify_batch(&rows);
+            compiled.set_threads(threads);
             assert_eq!(
-                interpreted, served,
+                compiled.classify_batch(&rows),
+                reference,
                 "fixture {fixture_idx}: compiled batch diverged at {threads} threads"
             );
-            match &reference {
-                None => reference = Some(served),
-                Some(r) => assert_eq!(
-                    r, &served,
-                    "fixture {fixture_idx}: thread count {threads} changed results"
-                ),
-            }
         }
     }
 }
@@ -164,10 +157,10 @@ fn injected_fault_plans_degrade_identically() {
     model.set_fault_plan(plan);
     let rows = mixed_batch(split, 12);
     let compiled = model.compile();
-    let interpreted = model.classify_batch(&rows);
+    let reference = model.classify_batch(&rows);
     let served = compiled.classify_batch(&rows);
-    assert!(interpreted[1].is_err() && interpreted[6].is_err());
-    assert_eq!(interpreted, served);
+    assert!(reference[1].is_err() && reference[6].is_err());
+    assert_eq!(reference, served);
 }
 
 /// The binary artifact round trip (`CompiledModel -> artifact bytes ->
@@ -217,9 +210,9 @@ proptest::proptest! {
 
     // Random fixture, random batch composition (valid rows drawn from
     // anywhere in the test split, malformed rows interleaved at random
-    // positions with random poison kinds), random thread count: the
-    // compiled plane must emit the identical Result sequence, and each
-    // row's verdict must equal the single-row paths of both planes.
+    // positions with random poison kinds), random serving thread count:
+    // the compiled plane must emit the reference's Result sequence, and
+    // each row's verdict must equal the single-row paths of both.
     #[test]
     fn random_batches_serve_identically(
         fixture_idx in 0usize..5,
@@ -230,8 +223,6 @@ proptest::proptest! {
         threads_idx in 0usize..3,
     ) {
         let (model, split) = &fixtures()[fixture_idx];
-        let mut model = model.clone();
-        model.set_threads(THREAD_COUNTS[threads_idx]);
         let mut rows: Vec<Vec<f64>> = (0..len)
             .map(|i| split.test.row((start + i) % split.test.len()).to_vec())
             .collect();
@@ -245,21 +236,22 @@ proptest::proptest! {
                 _ => {} // leave the batch fully valid
             }
         }
-        let compiled = model.compile();
-        let interpreted = model.classify_batch(&rows);
+        let mut compiled = model.compile();
+        compiled.set_threads(THREAD_COUNTS[threads_idx]);
+        let reference = model.classify_batch(&rows);
         let served = compiled.classify_batch(&rows);
-        proptest::prop_assert_eq!(&interpreted, &served);
+        proptest::prop_assert_eq!(&reference, &served);
         // The persisted-artifact plane is the same plane: load from the
         // fixture's shared buffer and demand the identical sequence.
         let mut loaded = artifact_buffers()[fixture_idx].load().expect("artifact load");
         loaded.set_threads(THREAD_COUNTS[threads_idx]);
-        proptest::prop_assert_eq!(&interpreted, &loaded.classify_batch(&rows));
+        proptest::prop_assert_eq!(&reference, &loaded.classify_batch(&rows));
         for (i, row) in rows.iter().enumerate() {
-            let single_interpreted = model.try_classify(row);
+            let single_reference = model.try_classify(row);
             let single_compiled = compiled.try_classify(row);
-            proptest::prop_assert_eq!(&single_interpreted, &single_compiled);
-            proptest::prop_assert_eq!(&single_interpreted, &loaded.try_classify(row));
-            proptest::prop_assert_eq!(&interpreted[i], &single_interpreted, "row {}", i);
+            proptest::prop_assert_eq!(&single_reference, &single_compiled);
+            proptest::prop_assert_eq!(&single_reference, &loaded.try_classify(row));
+            proptest::prop_assert_eq!(&reference[i], &single_reference, "row {}", i);
         }
     }
 }
@@ -318,10 +310,11 @@ fn assert_plane_matches_oracle(
     }
 }
 
-/// Law: every label served by every entry point of every plane —
-/// interpreted, compiled, and artifact-loaded — equals the oracle's, at
-/// every thread count. The row a fault plan poisons is rejected in
-/// batches, and every other row of that batch still matches the oracle.
+/// Law: every label served by every entry point of the reference, the
+/// compiled plane and the artifact-loaded plane equals the oracle's, the
+/// two serving planes at every thread count. The row a fault plan
+/// poisons is rejected in batches, and every other row of that batch
+/// still matches the oracle.
 #[test]
 fn served_labels_equal_the_nearest_region_oracle() {
     let env_threads: Option<usize> =
@@ -333,8 +326,16 @@ fn served_labels_equal_the_nearest_region_oracle() {
         let mut plan = FaultPlan::default();
         plan.poison_row(POISONED as u64);
 
-        let mut interpreted = model.clone();
-        interpreted.set_fault_plan(plan.clone());
+        let mut reference = model.clone();
+        reference.set_fault_plan(plan.clone());
+        assert_plane_matches_oracle(
+            &format!("fixture {fixture_idx}, reference"),
+            &oracle,
+            &rows,
+            |row| reference.try_classify(row),
+            &reference.classify_batch(&rows),
+            &reference.predict_dataset(&split.test),
+        );
         let mut compiled = model.compile();
         compiled.set_fault_plan(plan.clone());
         let bytes = compiled.to_artifact_bytes(0).expect("serialise");
@@ -345,19 +346,10 @@ fn served_labels_equal_the_nearest_region_oracle() {
         loaded.set_fault_plan(plan);
 
         for threads in THREAD_COUNTS.into_iter().chain(env_threads) {
-            interpreted.set_threads(threads);
             compiled.set_threads(threads);
             loaded.set_threads(threads);
             let at =
                 |plane: &str| format!("fixture {fixture_idx}, {plane} plane, {threads} threads");
-            assert_plane_matches_oracle(
-                &at("interpreted"),
-                &oracle,
-                &rows,
-                |row| interpreted.try_classify(row),
-                &interpreted.classify_batch(&rows),
-                &interpreted.predict_dataset(&split.test),
-            );
             assert_plane_matches_oracle(
                 &at("compiled"),
                 &oracle,

@@ -260,33 +260,6 @@ impl Dataset {
         }
     }
 
-    /// Projects a batch of (possibly external) full-width rows into one
-    /// flat matrix — the batched counterpart of [`Self::project_row`].
-    /// Per-row contents are identical to calling `project_row` on each
-    /// row (same selection, same weight products, same order); batching
-    /// replaces one allocation per sample with one per batch.
-    ///
-    /// # Panics
-    /// Panics if `weights` is provided with a different length than
-    /// `attrs`, or a row is too narrow for a selected attribute.
-    pub fn project_rows(
-        rows: &[Vec<f64>],
-        attrs: &[AttrId],
-        weights: Option<&[f64]>,
-    ) -> ProjectedMatrix {
-        if let Some(w) = weights {
-            assert_eq!(w.len(), attrs.len(), "one weight per projected attribute");
-        }
-        let mut data = Vec::with_capacity(rows.len() * attrs.len());
-        for row in rows {
-            match weights {
-                Some(w) => data.extend(attrs.iter().zip(w).map(|(&a, &wa)| row[a] * wa)),
-                None => data.extend(attrs.iter().map(|&a| row[a])),
-            }
-        }
-        ProjectedMatrix { data, n_cols: attrs.len(), n_rows: rows.len() }
-    }
-
     /// A borrowed view of the rows in `indices`.
     pub fn view<'a>(&'a self, indices: &'a [usize]) -> DatasetView<'a> {
         DatasetView { ds: self, indices }

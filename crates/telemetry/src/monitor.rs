@@ -4,10 +4,11 @@
 //! FALCC's guarantee is *local* fairness: each region's model combination
 //! is only as good as the assumption that serving traffic resembles the
 //! validation data that carved the regions. This module watches that
-//! assumption live. The serving planes feed every classified row's
-//! `(region, group, distance-to-centroid, verdict)` into a ring of N
-//! fixed-size windows; each window aggregates decision counts per
-//! `(region, group)` cell, rejection counts, and quantized
+//! assumption live. The serving plane (`falcc`'s `CompiledModel`; the
+//! fitted model's reference online phase records nothing) feeds every
+//! classified row's `(region, group, distance-to-centroid, verdict)`
+//! into a ring of N fixed-size windows; each window aggregates decision
+//! counts per `(region, group)` cell, rejection counts, and quantized
 //! distance-to-centroid digests, from which the sinks derive live
 //! demographic-parity gaps, region-occupancy skew against the offline
 //! [`MonitorSpec`] baseline, group-mix shift, and drift quantiles.
@@ -25,8 +26,7 @@
 //!    of the row ordinal (`window = ordinal / window_len`), batch
 //!    recorders claim contiguous ordinal blocks, and all folding is
 //!    commutative integer addition — so the windowed JSONL stream is
-//!    bit-identical across thread counts *and* across the interpreted
-//!    and compiled serving planes (part of the equivalence contract).
+//!    bit-identical across thread counts (`tests/monitoring.rs`).
 //!    Wall-clock latency is the one nondeterministic signal; it appears
 //!    only in the exposition sink, never in the windowed JSONL.
 //!
@@ -481,8 +481,8 @@ impl MonitorSnapshot {
     /// Serialises the stream as JSON lines: one `monitor_baseline` line,
     /// then per window a `monitor_window` line and one `monitor_region`
     /// line per region that saw rows. Contains **only deterministic
-    /// fields** — no wall-clock — so interpreted/compiled planes at any
-    /// thread count produce byte-identical output.
+    /// fields** — no wall-clock — so the serving plane produces
+    /// byte-identical output at any thread count.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(

@@ -34,8 +34,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         model.n_regions()
     );
 
-    // 4. Online phase: nearest-centroid lookup + one model call per sample.
-    let preds = model.predict_dataset(&split.test);
+    // 4. Online phase: nearest-centroid lookup + one model call per sample,
+    //    served through the compiled plane.
+    let preds = model.compile().predict_dataset(&split.test);
 
     // 5. Quality report.
     let y = split.test.labels();

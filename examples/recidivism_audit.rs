@@ -27,9 +27,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         model.n_regions()
     );
 
-    // Online latency — the paper's Fig. 6 claim, observable here directly.
+    // Online latency — the paper's Fig. 6 claim, observable here directly
+    // on the compiled serving plane.
+    let compiled = model.compile();
     let start = Instant::now();
-    let preds = model.predict_dataset(&split.test);
+    let preds = compiled.predict_dataset(&split.test);
     let per_sample = start.elapsed().as_micros() as f64 / split.test.len() as f64;
     println!(
         "online phase: {} samples in {:.1} µs/sample",

@@ -1,6 +1,7 @@
 //! Thread-count invariance of the whole pipeline: fitting and batch
-//! classification must produce **bit-identical** results whether they run
-//! on 1, 2, or 8 worker threads.
+//! classification through the serving plane must produce
+//! **bit-identical** results whether they run on 1, 2, or 8 worker
+//! threads.
 //!
 //! This is the contract of `falcc_dataset::parallel`: work items are pure
 //! functions of their index (seeds derived from the master seed + index,
@@ -32,6 +33,10 @@ fn fit_with_threads(threads: usize, split_by_group: bool) -> Fitted {
 
     let rows: Vec<Vec<f64>> =
         (0..split.test.len()).map(|i| split.test.row(i).to_vec()).collect();
+    // The serving plane starts from the fit's thread count.
+    let compiled = model.compile();
+    let dataset_preds = compiled.predict_dataset(&split.test);
+    assert_eq!(dataset_preds, model.predict_dataset(&split.test), "plane ≠ reference");
     Fitted {
         combos: (0..model.n_regions()).map(|c| model.combo(c).to_vec()).collect(),
         // Compare centroids at the bit level: "close enough" floats would
@@ -41,12 +46,12 @@ fn fit_with_threads(threads: usize, split_by_group: bool) -> Fitted {
             .iter()
             .map(|c| c.iter().map(|v| v.to_bits()).collect())
             .collect(),
-        batch_preds: model
+        batch_preds: compiled
             .classify_batch(&rows)
             .into_iter()
             .map(|r| r.expect("valid test rows classify"))
             .collect(),
-        dataset_preds: model.predict_dataset(&split.test),
+        dataset_preds,
     }
 }
 
@@ -104,7 +109,7 @@ fn log_means_pipeline_is_invariant_across_thread_counts() {
             .iter()
             .map(|c| c.iter().map(|v| v.to_bits()).collect())
             .collect();
-        (model.n_regions(), centroid_bits, model.predict_dataset(&split.test))
+        (model.n_regions(), centroid_bits, model.compile().predict_dataset(&split.test))
     };
     let (k_ref, centroids_ref, preds_ref) = fit(1);
     assert!(k_ref >= 1);
@@ -124,14 +129,22 @@ fn classify_batch_equals_sequential_classification() {
     let mut cfg = FalccConfig::default();
     cfg.scale_for_tests();
     cfg.seed = 22;
-    let mut model = FalccModel::fit(&split.train, &split.validation, &cfg).expect("fit");
+    let model = FalccModel::fit(&split.train, &split.validation, &cfg).expect("fit");
 
     let rows: Vec<Vec<f64>> =
         (0..split.test.len()).map(|i| split.test.row(i).to_vec()).collect();
+    // The reference, row by row.
     let sequential: Vec<u8> = rows.iter().map(|r| model.classify(r)).collect();
+    let reference: Vec<u8> = model
+        .classify_batch(&rows)
+        .into_iter()
+        .map(|r| r.expect("valid test rows classify"))
+        .collect();
+    assert_eq!(reference, sequential, "reference batch ≠ sequential");
+    let mut compiled = model.compile();
     for threads in [0, 1, 2, 8] {
-        model.set_threads(threads);
-        let batched: Vec<u8> = model
+        compiled.set_threads(threads);
+        let batched: Vec<u8> = compiled
             .classify_batch(&rows)
             .into_iter()
             .map(|r| r.expect("valid test rows classify"))

@@ -1,7 +1,8 @@
 //! Efficiency integration tests — the paper's headline claim (Fig. 6) as a
 //! testable invariant: FALCC's online phase must be substantially cheaper
 //! than FALCES's, because FALCC replaces per-sample kNN + combination
-//! assessment with a nearest-centroid lookup.
+//! assessment with a nearest-centroid lookup. FALCC is timed on the plane
+//! that serves it, `FalccModel::compile`.
 //!
 //! Wall-clock assertions are inherently jittery; the margins here are an
 //! order of magnitude below the real gap (typically 10–100×), so the tests
@@ -34,7 +35,7 @@ fn falcc_online_phase_is_faster_than_falces() {
 
     let mut cfg = FalccConfig::default();
     cfg.scale_for_tests();
-    let falcc = FalccModel::fit(&split.train, &split.validation, &cfg).expect("falcc");
+    let falcc = FalccModel::fit(&split.train, &split.validation, &cfg).expect("falcc").compile();
 
     let pool = ModelPool::standard_five(&split.train, 1);
     let falces =
@@ -64,7 +65,7 @@ fn falcc_online_cost_does_not_explode_with_group_count() {
         let mut cfg = FalccConfig::default();
         cfg.scale_for_tests();
         let model = FalccModel::fit(&split.train, &split.validation, &cfg).expect("fit");
-        timed_predict(&model, &split.test) / split.test.len() as f64
+        timed_predict(&model.compile(), &split.test) / split.test.len() as f64
     };
     let t2 = per_sample(two);
     let t4 = per_sample(four);
@@ -87,7 +88,7 @@ fn offline_phase_is_where_the_cost_lives() {
     let start = Instant::now();
     let model = FalccModel::fit(&split.train, &split.validation, &cfg).expect("fit");
     let offline = start.elapsed().as_secs_f64();
-    let online = timed_predict(&model, &split.test);
+    let online = timed_predict(&model.compile(), &split.test);
     assert!(
         offline > online,
         "offline ({offline:.4}s) should dominate one online pass ({online:.4}s)"

@@ -1,15 +1,16 @@
-//! Live serving monitor contracts, end to end:
+//! Live serving monitor contracts, end to end. The monitors are fed by
+//! the compiled serving plane (`FalccModel::compile`) only; the fitted
+//! model's own reference online phase records nothing.
 //!
 //! * **Determinism** — the windowed JSONL stream (and the exposition
 //!   text, latency lines excluded) is byte-identical across worker
-//!   thread counts *and* across the interpreted and compiled serving
-//!   planes. Window boundaries key on row ordinals, never wall clock.
+//!   thread counts and between the batch and row-by-row entry points.
+//!   Window boundaries key on row ordinals, never wall clock.
 //! * **Non-perturbation** — predictions are bit-identical with monitors
-//!   installed or not, on both planes.
+//!   installed or not, and equal the reference's.
 //! * **Fault accounting** — a row rejected with a typed `RowFault` is
 //!   counted exactly once: once on the `online.rows_rejected` counter
-//!   and once in its window's rejection tally, per plane, for every
-//!   thread count.
+//!   and once in its window's rejection tally, for every thread count.
 //! * **Metric fidelity** — the count-derived per-window demographic
 //!   parity gap equals `FairnessMetric::DemographicParity` recomputed
 //!   on reconstructed slices.
@@ -52,30 +53,30 @@ fn exposition_without_latency(snap: &falcc_telemetry::MonitorSnapshot) -> String
 }
 
 #[test]
-fn monitor_streams_identical_across_planes_and_threads() {
+fn monitor_streams_identical_across_threads() {
     let _guard = MONITOR_LOCK.lock().unwrap();
     falcc_telemetry::monitor::uninstall();
-    let (mut model, test) = fit(41, 2, FaultPlan::default());
+    let (model, test) = fit(41, 2, FaultPlan::default());
     let unmonitored = model.predict_dataset(&test);
-    assert_eq!(unmonitored, model.compile().predict_dataset(&test));
+    let mut compiled = model.compile();
+    assert_eq!(unmonitored, compiled.predict_dataset(&test));
 
     // Ring of 4 so the run also exercises eviction (~5 windows pass by).
     let mut runs: Vec<(String, String, Vec<u8>)> = Vec::new();
+    let mut observe = |serve: &dyn Fn() -> Vec<u8>| {
+        let state = falcc_telemetry::monitor::install(model.monitor_spec(WINDOW_LEN, 4));
+        let preds = serve();
+        falcc_telemetry::monitor::uninstall();
+        let snap = state.snapshot();
+        assert_eq!(snap.rows_seen, test.len() as u64);
+        runs.push((snap.to_jsonl(), exposition_without_latency(&snap), preds));
+    };
     for threads in [1usize, 2, 8] {
-        model.set_threads(threads);
-        for compiled in [false, true] {
-            let state = falcc_telemetry::monitor::install(model.monitor_spec(WINDOW_LEN, 4));
-            let preds = if compiled {
-                model.compile().predict_dataset(&test)
-            } else {
-                model.predict_dataset(&test)
-            };
-            falcc_telemetry::monitor::uninstall();
-            let snap = state.snapshot();
-            assert_eq!(snap.rows_seen, test.len() as u64);
-            runs.push((snap.to_jsonl(), exposition_without_latency(&snap), preds));
-        }
+        compiled.set_threads(threads);
+        observe(&|| compiled.predict_dataset(&test));
     }
+    // Row by row, each call claims the next ordinal: the same windows.
+    observe(&|| (0..test.len()).map(|i| compiled.classify(test.row(i))).collect());
     let (jsonl, exposition, preds) = &runs[0];
     assert!(jsonl.contains("\"type\":\"monitor_baseline\""));
     assert!(jsonl.contains("\"type\":\"monitor_region\""));
@@ -89,43 +90,38 @@ fn monitor_streams_identical_across_planes_and_threads() {
 }
 
 #[test]
-fn injected_row_faults_count_once_per_row_on_both_planes() {
+fn injected_row_faults_count_once_per_row() {
     let _guard = MONITOR_LOCK.lock().unwrap();
     let mut plan = FaultPlan::default();
     plan.poison_row(3).poison_row(17);
-    let (mut model, test) = fit(42, 2, plan);
+    let (model, test) = fit(42, 2, plan);
     let rows: Vec<Vec<f64>> = (0..test.len()).map(|i| test.row(i).to_vec()).collect();
     assert!(rows.len() > 18, "need both poisoned ordinals in range");
 
+    let mut compiled = model.compile();
     let mut streams: Vec<String> = Vec::new();
     for threads in [1usize, 2, 8] {
-        model.set_threads(threads);
-        for compiled in [false, true] {
-            falcc_telemetry::enable();
-            falcc_telemetry::reset();
-            // Ring of 8 so the rejection window (id 0) is retained.
-            let state = falcc_telemetry::monitor::install(model.monitor_spec(WINDOW_LEN, 8));
-            let out = if compiled {
-                model.compile().classify_batch(&rows)
-            } else {
-                model.classify_batch(&rows)
-            };
-            falcc_telemetry::monitor::uninstall();
-            let counted = falcc_telemetry::snapshot().counter("online.rows_rejected");
-            falcc_telemetry::disable();
-            falcc_telemetry::reset();
+        compiled.set_threads(threads);
+        falcc_telemetry::enable();
+        falcc_telemetry::reset();
+        // Ring of 8 so the rejection window (id 0) is retained.
+        let state = falcc_telemetry::monitor::install(model.monitor_spec(WINDOW_LEN, 8));
+        let out = compiled.classify_batch(&rows);
+        falcc_telemetry::monitor::uninstall();
+        let counted = falcc_telemetry::snapshot().counter("online.rows_rejected");
+        falcc_telemetry::disable();
+        falcc_telemetry::reset();
 
-            assert!(out[3].is_err() && out[17].is_err(), "poisoned rows must fault");
-            assert_eq!(out.iter().filter(|r| r.is_err()).count(), 2);
-            assert_eq!(counted, 2, "counter must tick exactly once per rejected row");
+        assert!(out[3].is_err() && out[17].is_err(), "poisoned rows must fault");
+        assert_eq!(out.iter().filter(|r| r.is_err()).count(), 2);
+        assert_eq!(counted, 2, "counter must tick exactly once per rejected row");
 
-            let snap = state.snapshot();
-            let window_rejections: u64 = snap.windows.iter().map(|w| w.rejected).sum();
-            let observed: u64 = snap.windows.iter().map(|w| w.observed).sum();
-            assert_eq!(window_rejections, 2, "window tally must match the fault count");
-            assert_eq!(observed, rows.len() as u64);
-            streams.push(snap.to_jsonl());
-        }
+        let snap = state.snapshot();
+        let window_rejections: u64 = snap.windows.iter().map(|w| w.rejected).sum();
+        let observed: u64 = snap.windows.iter().map(|w| w.observed).sum();
+        assert_eq!(window_rejections, 2, "window tally must match the fault count");
+        assert_eq!(observed, rows.len() as u64);
+        streams.push(snap.to_jsonl());
     }
     for stream in &streams[1..] {
         assert_eq!(stream, &streams[0], "fault accounting diverged between runs");
@@ -137,7 +133,7 @@ fn window_dp_gap_matches_fairness_metric_on_reconstructed_slices() {
     let _guard = MONITOR_LOCK.lock().unwrap();
     let (model, test) = fit(43, 2, FaultPlan::default());
     let state = falcc_telemetry::monitor::install(model.monitor_spec(WINDOW_LEN, 8));
-    let _ = model.predict_dataset(&test);
+    let _ = model.compile().predict_dataset(&test);
     falcc_telemetry::monitor::uninstall();
     let snap = state.snapshot();
 

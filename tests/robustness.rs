@@ -28,8 +28,8 @@
 use falcc::checkpoint::MANIFEST;
 use falcc::faults::{flip_byte, truncate_bytes};
 use falcc::{
-    CheckpointSpec, FairClassifier, FalccConfig, FalccError, FalccModel, FaultPlan,
-    RowFault, SavedFalccModel,
+    CheckpointSpec, CompiledModel, FairClassifier, FalccConfig, FalccError, FalccModel,
+    FaultPlan, RowFault, SavedFalccModel,
 };
 use falcc_dataset::{synthetic, SplitRatios, ThreeWaySplit};
 use std::path::Path;
@@ -76,7 +76,9 @@ fn degraded_pipeline_is_bit_identical_across_thread_counts() {
         let combos: Vec<Vec<usize>> =
             (0..model.n_regions()).map(|c| model.combo(c).to_vec()).collect();
         let preds = model.classify_batch(&rows);
-        (model.pool().len(), combos, preds)
+        // The serving plane, at the fit's thread count.
+        let served = model.compile().classify_batch(&rows);
+        (model.pool().len(), combos, preds, served)
     };
     let env_threads: Option<usize> =
         std::env::var("FALCC_TEST_THREADS").ok().and_then(|v| v.parse().ok());
@@ -87,11 +89,13 @@ fn degraded_pipeline_is_bit_identical_across_thread_counts() {
         reference.2.iter().enumerate().all(|(i, r)| r.is_ok() || i == 5),
         "only the injected row degrades"
     );
+    assert_eq!(reference.3, reference.2, "serving plane diverged from the reference");
     for threads in THREAD_COUNTS.into_iter().chain(env_threads) {
         let run_t = run(threads);
         assert_eq!(run_t.0, reference.0, "pool size differs at {threads} threads");
         assert_eq!(run_t.1, reference.1, "combos differ at {threads} threads");
         assert_eq!(run_t.2, reference.2, "degraded predictions differ at {threads} threads");
+        assert_eq!(run_t.3, reference.3, "served predictions differ at {threads} threads");
     }
 }
 
@@ -130,16 +134,18 @@ fn pool_depletion_is_typed_and_total_depletion_never_panics() {
     }
 }
 
-/// Shared fixture for the property test below: fit once, probe many times.
-fn arbitrary_row_fixture() -> &'static (FalccModel, Vec<f64>) {
+/// Shared fixture for the property test below: fit (and compile) once,
+/// probe many times.
+fn arbitrary_row_fixture() -> &'static (FalccModel, CompiledModel, Vec<f64>) {
     use std::sync::OnceLock;
-    static FIXTURE: OnceLock<(FalccModel, Vec<f64>)> = OnceLock::new();
+    static FIXTURE: OnceLock<(FalccModel, CompiledModel, Vec<f64>)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let split = fixture(800, 34);
         let model = FalccModel::fit(&split.train, &split.validation, &config(34, 0))
             .expect("fit");
+        let compiled = model.compile();
         let good = split.test.row(0).to_vec();
-        (model, good)
+        (model, compiled, good)
     })
 }
 
@@ -147,9 +153,10 @@ proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
     // Rows span empty to over-wide, with a cell optionally poisoned by
-    // NaN, infinities, or an out-of-domain sensitive code. The online
-    // phase must answer every one with a typed result — never a panic —
-    // and a bad row in a batch must not disturb its neighbours.
+    // NaN, infinities, or an out-of-domain sensitive code. The serving
+    // plane and the reference must answer every one with the same typed
+    // result — never a panic — and a bad row in a batch must not disturb
+    // its neighbours.
     #[test]
     fn online_phase_never_panics_on_arbitrary_rows(
         width in 0usize..20,
@@ -157,7 +164,7 @@ proptest::proptest! {
         poison_col in 0usize..20,
         poison_kind in 0u8..5,
     ) {
-        let (model, good) = arbitrary_row_fixture();
+        let (model, compiled, good) = arbitrary_row_fixture();
         let mut r: Vec<f64> = cells[..width].to_vec();
         if poison_col < width {
             r[poison_col] = match poison_kind {
@@ -169,21 +176,21 @@ proptest::proptest! {
             };
         }
         // try_classify: typed result, never a panic.
-        let single = model.try_classify(&r);
+        let single = compiled.try_classify(&r);
         if let Ok(z) = single {
             proptest::prop_assert!(z <= 1);
         }
         // Batched alongside known-good rows: the good rows' results
         // are unaffected by the arbitrary neighbour.
-        let batch = model.classify_batch(&[good.clone(), r.clone(), good.clone()]);
+        let rows = [good.clone(), r.clone(), good.clone()];
+        let batch = compiled.classify_batch(&rows);
         proptest::prop_assert_eq!(batch.len(), 3);
         proptest::prop_assert!(batch[0].is_ok() && batch[2].is_ok());
         proptest::prop_assert_eq!(batch[0].clone(), batch[2].clone());
-        match (&single, &batch[1]) {
-            (Ok(a), Ok(b)) => proptest::prop_assert_eq!(a, b),
-            (Err(a), Err(b)) => proptest::prop_assert_eq!(a.clone(), b.clone()),
-            _ => proptest::prop_assert!(false, "single and batched verdicts disagree"),
-        }
+        proptest::prop_assert_eq!(&single, &batch[1], "single and batched verdicts disagree");
+        // Both verdicts are the reference's.
+        proptest::prop_assert_eq!(&single, &model.try_classify(&r));
+        proptest::prop_assert_eq!(&batch, &model.classify_batch(&rows));
     }
 }
 
@@ -192,19 +199,27 @@ fn row_faults_carry_actionable_context() {
     let split = fixture(700, 35);
     let model = FalccModel::fit(&split.train, &split.validation, &config(35, 0))
         .expect("fit");
+    let compiled = model.compile();
     let d = split.test.n_attrs();
     let good = split.test.row(0).to_vec();
-
-    assert!(matches!(
-        model.try_classify(&[]),
-        Err(RowFault::WrongWidth { found: 0, expected }) if expected == d
-    ));
     let mut bad = good.clone();
     bad[d - 1] = f64::NAN;
-    assert_eq!(model.try_classify(&bad), Err(RowFault::NonFinite { column: d - 1 }));
     let mut alien = good;
     alien[0] = -3.0;
-    assert_eq!(model.try_classify(&alien), Err(RowFault::GroupOutOfDomain));
+
+    let check = |plane: &str, try_classify: &dyn Fn(&[f64]) -> Result<u8, RowFault>| {
+        assert!(
+            matches!(
+                try_classify(&[]),
+                Err(RowFault::WrongWidth { found: 0, expected }) if expected == d
+            ),
+            "{plane}"
+        );
+        assert_eq!(try_classify(&bad), Err(RowFault::NonFinite { column: d - 1 }), "{plane}");
+        assert_eq!(try_classify(&alien), Err(RowFault::GroupOutOfDomain), "{plane}");
+    };
+    check("reference", &|row| model.try_classify(row));
+    check("compiled", &|row| compiled.try_classify(row));
 }
 
 #[test]
