@@ -14,10 +14,6 @@ pub struct Opts {
     pub scale: f64,
     /// Output directory for CSV files.
     pub out: PathBuf,
-    /// Tiny-footprint mode for CI: shrink data and repetitions so the
-    /// binary finishes in seconds (used by `exp_runtime` and
-    /// `exp_artifacts`).
-    pub smoke: bool,
     /// Record telemetry and print the per-phase profile (`--profile`).
     pub profile: bool,
     /// Record telemetry and write the trace as JSON lines here.
@@ -33,7 +29,6 @@ impl Default for Opts {
             runs: 4,
             scale: 0.10,
             out: PathBuf::from("bench_results"),
-            smoke: false,
             profile: false,
             trace_out: None,
             quiet: false,
@@ -42,8 +37,8 @@ impl Default for Opts {
 }
 
 impl Opts {
-    /// Parses `--seed`, `--runs`, `--scale`, `--out`, `--smoke`,
-    /// `--profile`, `--trace-out`, `--quiet` from the process args, then
+    /// Parses `--seed`, `--runs`, `--scale`, `--out`, `--profile`,
+    /// `--trace-out`, `--quiet` from the process args, then
     /// activates telemetry accordingly ([`Self::activate_telemetry`]).
     /// Unknown flags abort with a usage message — silent typos would waste
     /// long experiment runs.
@@ -96,13 +91,12 @@ impl Opts {
                 "--runs" => opts.runs = parse_or_die(&value("--runs"), "--runs"),
                 "--scale" => opts.scale = parse_or_die(&value("--scale"), "--scale"),
                 "--out" => opts.out = PathBuf::from(value("--out")),
-                "--smoke" => opts.smoke = true,
                 "--profile" => opts.profile = true,
                 "--trace-out" => opts.trace_out = Some(PathBuf::from(value("--trace-out"))),
                 "--quiet" => opts.quiet = true,
                 "--help" | "-h" => {
                     println!(
-                        "flags: --seed <u64> --runs <n> --scale <0..1] --out <dir> --smoke\n\
+                        "flags: --seed <u64> --runs <n> --scale <0..1] --out <dir>\n\
                          \x20      --profile --trace-out <path> --quiet\n\
                          defaults: --seed 11 --runs 4 --scale 0.10 --out bench_results"
                     );
@@ -170,14 +164,6 @@ mod tests {
         assert_eq!(o.runs, 2);
         assert!((o.scale - 0.5).abs() < 1e-12);
         assert_eq!(o.out, PathBuf::from("/tmp/x"));
-    }
-
-    #[test]
-    fn smoke_flag_takes_no_value() {
-        let o = parse(&["--smoke", "--runs", "2"]);
-        assert!(o.smoke);
-        assert_eq!(o.runs, 2);
-        assert!(!parse(&[]).smoke);
     }
 
     #[test]

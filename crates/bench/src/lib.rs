@@ -17,24 +17,19 @@
 //! scaling of the emulated datasets) and `--out <dir>` and writes both a
 //! human-readable table to stdout and CSV files under `bench_results/`.
 //! The telemetry flags `--profile`, `--trace-out <path>`, and `--quiet`
-//! work everywhere too (see `falcc-telemetry`); `exp_runtime` additionally
-//! prints a per-phase breakdown and writes `BENCH_telemetry.json` with the
-//! measured observability overhead.
-//! Criterion micro-benchmarks for the online/offline phases live under
-//! `benches/`.
+//! work everywhere too (see `falcc-telemetry`); `--profile` prints the
+//! run's span tree, which splits every fit into its offline phases. The
+//! performance ledger is the benchmark package `perfbench/`;
+//! `exp_runtime` reproduces the paper's Fig. 6 and nothing more.
 
 pub mod algos;
-pub mod artifacts;
 pub mod cli;
 pub mod data;
 pub mod eval;
-pub mod overhead;
 pub mod report;
 
 pub use algos::{fit_algorithm, Algo, FittedAlgo};
-pub use artifacts::{bench_artifacts, ArtifactsReport};
 pub use cli::Opts;
 pub use data::BenchDataset;
 pub use eval::{evaluate, reference_regions, EvalRow};
-pub use overhead::{measure_overhead, TelemetryOverheadReport};
 pub use report::{write_csv, Table};

@@ -728,19 +728,13 @@ fn info(model_path: &str) -> Result<String, CliError> {
 }
 
 /// Loads the CSV at `path` for a model fitted on `schema`, refusing it
-/// unless its attribute columns are the model's, in the model's order.
-/// Rows are served by position, so a missing, moved, swapped or renamed
-/// column would otherwise panic or silently serve the wrong feature.
+/// with a runtime error unless its attribute columns are the model's, in
+/// the model's order (`falcc::online::check_columns`); serving such data
+/// would panic.
 fn load_model_data(schema: &falcc_dataset::Schema, path: &str) -> Result<Dataset, CliError> {
     let data = load_dataset(path, &as_refs(&sensitive_decl(schema)))?;
-    let (expected, found) = (schema.attr_names(), data.schema().attr_names());
-    if found != expected {
-        return Err(CliError::runtime(format!(
-            "column mismatch in {path}: the model expects columns [{}], found [{}]",
-            expected.join(", "),
-            found.join(", ")
-        )));
-    }
+    falcc::online::check_columns(schema, data.schema())
+        .map_err(|detail| CliError::runtime(format!("column mismatch in {path}: {detail}")))?;
     Ok(data)
 }
 

@@ -71,7 +71,8 @@
 //! **Equivalence contract**: a loaded artifact classifies bit-identically
 //! to the JSON→restore→compile path — same `Result<u8, RowFault>`
 //! sequences at every thread count. The `compiled_equivalence` suite and
-//! the `exp_artifacts --smoke` CI gate pin this.
+//! the CI artifact demo (JSON-served vs artifact-served `falcc predict`
+//! output) pin this.
 
 use crate::compile::{CompiledModel, ServeMeta};
 use crate::error::FalccError;

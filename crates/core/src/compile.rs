@@ -44,7 +44,7 @@ use crate::error::RowFault;
 use crate::faults::{FaultPlan, FaultSite};
 use crate::framework::FairClassifier;
 use crate::offline::FalccModel;
-use crate::online::validate_row_against;
+use crate::online::{check_columns, validate_row_against};
 use crate::proxy::ProxyOutcome;
 use falcc_clustering::CentroidMatrix;
 use falcc_dataset::{AttrId, Dataset, GroupId, GroupIndex, Schema};
@@ -127,12 +127,11 @@ pub struct CompiledModel {
 impl FalccModel {
     /// Lowers the fitted model into the compiled serving plane.
     ///
-    /// Compilation cost is `serve.compile_ns`; the deduplicated member
-    /// count lands in `serve.dedup_models`. Every classification entry
-    /// point of the result is bit-identical to the reference one here.
+    /// The `serve.compile` span times it; the deduplicated member count
+    /// lands in `serve.dedup_models`. Every classification entry point of
+    /// the result is bit-identical to the reference one here.
     pub fn compile(&self) -> CompiledModel {
         let _sp = falcc_telemetry::span("serve.compile");
-        let t0 = std::time::Instant::now();
         let n_groups = self.group_index().len();
         let n_regions = self.n_regions();
         // Dedup: first-seen order over (region, group) cells, so compiled
@@ -152,7 +151,6 @@ impl FalccModel {
         }
         let pool = FlatPool::compile(&reachable);
         let centroids = CentroidMatrix::from_model(self.kmeans());
-        falcc_telemetry::counters::SERVE_COMPILE_NS.add(t0.elapsed().as_nanos() as u64);
         falcc_telemetry::gauges::SERVE_DEDUP_MODELS.set(pool.len() as u64);
         CompiledModel {
             meta: ServeMeta {
@@ -240,6 +238,7 @@ impl CompiledModel {
         };
         let (region, dist) = self.route(row, monitoring);
         let pred = self.pool.predict_row(self.member_of(region, group) as usize, row);
+        falcc_telemetry::counters::ONLINE_SAMPLES.incr();
         if let Some(dist) = dist {
             falcc_telemetry::monitor::single(
                 Some((region, group.index(), dist)),
@@ -281,25 +280,9 @@ impl CompiledModel {
             heap = proxy.project_row(row);
             &heap
         };
-        let region = self.match_region(projected);
+        let region = self.centroids.nearest(projected);
         let dist = observed.then(|| sq_dist(projected, self.centroids.row(region)));
         (region, dist)
-    }
-
-    /// Nearest-centroid region match over the flat matrix, timed into
-    /// `online.match_ns` and counted in `online.samples` while telemetry
-    /// records.
-    #[inline]
-    fn match_region(&self, projected: &[f64]) -> usize {
-        if falcc_telemetry::enabled() {
-            let t0 = std::time::Instant::now();
-            let region = self.centroids.nearest(projected);
-            falcc_telemetry::histograms::ONLINE_MATCH_NS.record_ns(t0.elapsed());
-            falcc_telemetry::counters::ONLINE_SAMPLES.incr();
-            region
-        } else {
-            self.centroids.nearest(projected)
-        }
     }
 
     /// Compiled batch classification — bit-identical to
@@ -339,6 +322,7 @@ impl CompiledModel {
                 Ok(self.member_of(region, group))
             });
         let rejected = checked.iter().filter(|r| r.is_err()).count();
+        falcc_telemetry::counters::ONLINE_SAMPLES.add((rows.len() - rejected) as u64);
         if rejected > 0 {
             falcc_telemetry::counters::ONLINE_ROWS_REJECTED.add(rejected as u64);
             if falcc_telemetry::enabled() {
@@ -440,14 +424,22 @@ impl FairClassifier for CompiledModel {
     /// to [`FalccModel`]'s row loop. Like
     /// [`CompiledModel::classify_batch`], group resolution, projection,
     /// and region match fuse into one pass per row.
+    ///
+    /// # Panics
+    /// Panics with `column mismatch` and both column lists when `ds`'s
+    /// attribute columns are not the model's, in the model's order
+    /// ([`check_columns`]): rows are served by position.
     fn predict_dataset(&self, ds: &Dataset) -> Vec<u8> {
+        if let Err(detail) = check_columns(&self.meta.schema, ds.schema()) {
+            panic!("column mismatch: {detail}");
+        }
         let _sp = falcc_telemetry::span("serve.classify_batch");
         let rec = falcc_telemetry::monitor::batch(ds.len());
         let t0 = rec.as_ref().map(|_| std::time::Instant::now());
         let threads = self.threads;
         let assignment: Vec<u32> = parallel_map_range(ds.len(), threads, |i| {
-            // The model's own group index; dataset rows passed schema
-            // validation at construction.
+            // The model's own group index; the columns are the model's
+            // and dataset rows passed schema validation at construction.
             let group = match self.meta.group_index.group_of(ds.row(i)) {
                 Ok(g) => g,
                 Err(_) => {
@@ -460,6 +452,7 @@ impl FairClassifier for CompiledModel {
             }
             self.member_of(region, group)
         });
+        falcc_telemetry::counters::ONLINE_SAMPLES.add(ds.len() as u64);
         let rows: Vec<&[f64]> = (0..ds.len()).map(|i| ds.row(i)).collect();
         let preds = self.run_buckets(&rows, &assignment, threads);
         if let (Some(rec), Some(t0)) = (rec, t0) {

@@ -13,13 +13,15 @@
 //! check. To keep that a comparison of two independent code paths, the
 //! reference is deliberately plain: one serial loop, no telemetry, no
 //! live monitors, no threads, and nothing shared with the compiled plane
-//! but [`validate_row_against`], so the fault order cannot drift.
+//! but its two input checks, [`validate_row_against`] and
+//! [`check_columns`], so the fault order and the column contract cannot
+//! drift.
 
 use crate::error::RowFault;
 use crate::faults::FaultSite;
 use crate::framework::FairClassifier;
 use crate::offline::FalccModel;
-use falcc_dataset::{GroupId, GroupIndex};
+use falcc_dataset::{Dataset, GroupId, GroupIndex, Schema};
 
 /// Row validation shared by the reference and the compiled serving plane —
 /// both defer to this one function so the fault order (width, then
@@ -41,6 +43,26 @@ pub(crate) fn validate_row_against(
         return Err(RowFault::NonFinite { column });
     }
     group_index.group_of(row).map_err(|_| RowFault::GroupOutOfDomain)
+}
+
+/// Checks that a dataset's attribute columns are the model's: the same
+/// names in the same order. Rows are served by position, so a missing,
+/// moved, swapped or renamed column would otherwise panic deep inside
+/// serving or silently serve the wrong feature. Both serving planes'
+/// `predict_dataset` and the CLI's data loading run it once per call.
+///
+/// # Errors
+/// A description listing both column lists when they differ.
+pub fn check_columns(model: &Schema, data: &Schema) -> Result<(), String> {
+    let (expected, found) = (model.attr_names(), data.attr_names());
+    if found == expected {
+        return Ok(());
+    }
+    Err(format!(
+        "the model expects columns [{}], found [{}]",
+        expected.join(", "),
+        found.join(", ")
+    ))
 }
 
 impl FalccModel {
@@ -103,6 +125,19 @@ impl FairClassifier for FalccModel {
 
     fn name(&self) -> &str {
         self.name_str()
+    }
+
+    /// The trait's row loop behind a column check.
+    ///
+    /// # Panics
+    /// Panics with `column mismatch` and both column lists when `ds`'s
+    /// attribute columns are not the model's, in the model's order
+    /// ([`check_columns`]).
+    fn predict_dataset(&self, ds: &Dataset) -> Vec<u8> {
+        if let Err(detail) = check_columns(self.schema(), ds.schema()) {
+            panic!("column mismatch: {detail}");
+        }
+        (0..ds.len()).map(|i| self.predict_row(ds.row(i))).collect()
     }
 }
 

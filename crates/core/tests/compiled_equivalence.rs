@@ -13,8 +13,9 @@
 use std::sync::OnceLock;
 
 use falcc::{ClusterSpec, FairClassifier, FalccConfig, FalccModel, FaultPlan, RowFault};
+use falcc_dataset::schema::SensitiveAttr;
 use falcc_dataset::synthetic::{generate, SyntheticConfig};
-use falcc_dataset::{SplitRatios, ThreeWaySplit};
+use falcc_dataset::{Dataset, Schema, SplitRatios, ThreeWaySplit};
 use falcc_models::{ModelPool, PoolConfig, TrainerKind};
 
 /// Thread counts to exercise (CI additionally pins `FALCC_TEST_THREADS`).
@@ -366,6 +367,51 @@ fn served_labels_equal_the_nearest_region_oracle() {
                 &loaded.classify_batch(&rows),
                 &loaded.predict_dataset(&split.test),
             );
+        }
+    }
+}
+
+/// `ds` with its columns permuted — names, values and the sensitive
+/// declaration alike: column `j` of the result is column `order[j]`.
+fn permute_columns(ds: &Dataset, order: &[usize]) -> Dataset {
+    let schema = ds.schema();
+    let names = order.iter().map(|&j| schema.attr_name(j).to_string()).collect();
+    let sensitive = schema
+        .sensitive()
+        .iter()
+        .map(|s| SensitiveAttr {
+            attr: order.iter().position(|&j| j == s.attr).expect("column kept"),
+            domain: s.domain.clone(),
+        })
+        .collect();
+    let schema = Schema::new(names, sensitive, schema.label_name()).expect("schema");
+    let rows = (0..ds.len()).map(|i| order.iter().map(|&j| ds.row(i)[j]).collect()).collect();
+    Dataset::from_rows(schema, rows, ds.labels().to_vec()).expect("dataset")
+}
+
+/// Rows are served by position, so a dataset whose columns are not the
+/// model's — two features swapped, or the sensitive column moved to the
+/// end — must be refused by every plane's `predict_dataset` with a
+/// `column mismatch` panic, never served.
+#[test]
+fn predict_dataset_refuses_columns_that_are_not_the_models() {
+    let (model, split) = &fixtures()[0];
+    let n_attrs = split.test.schema().n_attrs();
+    let swapped: Vec<usize> = [0, 2, 1].into_iter().chain(3..n_attrs).collect();
+    let moved: Vec<usize> = (1..n_attrs).chain([0]).collect();
+    let compiled = model.compile();
+    let loaded = artifact_buffers()[0].load().expect("artifact load");
+    let planes: [(&str, &dyn FairClassifier); 3] =
+        [("reference", model), ("compiled", &compiled), ("artifact", &loaded)];
+    for (case, order) in [("swapped features", swapped), ("moved sensitive column", moved)] {
+        let data = permute_columns(&split.test, &order);
+        for (plane, classifier) in planes {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                classifier.predict_dataset(&data)
+            }))
+            .expect_err(&format!("{plane} plane served {case}"));
+            let message = panic.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(message.contains("column mismatch"), "{plane} plane, {case}: {message}");
         }
     }
 }

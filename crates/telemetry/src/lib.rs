@@ -1,19 +1,19 @@
 //! # falcc-telemetry
 //!
 //! Structured observability for the FALCC pipeline: hierarchical **spans**
-//! with monotonic timing, a **metrics registry** (counters, gauges,
-//! fixed-bucket histograms), live serving **monitors** (windowed
-//! fairness/drift aggregation — see [`monitor`]), and pluggable **sinks**
-//! (in-memory snapshot for tests, a human-readable phase-tree report,
-//! JSON-lines export, Prometheus-style text exposition).
+//! with monotonic timing, a **metrics registry** (counters and gauges),
+//! live serving **monitors** (windowed fairness/drift aggregation — see
+//! [`monitor`]), and pluggable **sinks** (in-memory snapshot for tests, a
+//! human-readable phase-tree report, JSON-lines export, Prometheus-style
+//! text exposition).
 //!
 //! Three invariants govern the design:
 //!
 //! 1. **Zero cost when disabled.** Every recording entry point first reads
 //!    one relaxed atomic ([`enabled`]); when telemetry is off, spans are
 //!    inert guards and metric updates return immediately. The disabled
-//!    path adds no allocation, no lock, no syscall — the overhead smoke
-//!    check in `exp_runtime --smoke` pins this.
+//!    path adds no allocation, no lock, no syscall — the release-only
+//!    test `tests/disabled_path.rs` pins its cost under 50 ns per call.
 //! 2. **Observation never perturbs results.** Telemetry only *records*:
 //!    instrumented code computes the same values, in the same order, with
 //!    recording on or off. The workspace determinism suite runs
@@ -25,7 +25,8 @@
 //!    threads carry an explicit parent plus an **ordinal** (their work-item
 //!    index), which the snapshot sorts by. This mirrors the ordered-merge
 //!    contract of `falcc_dataset::parallel`: the merged tree is identical
-//!    for 1, 2, or 8 worker threads.
+//!    for 1, 2, or 8 worker threads. Metrics are counts, never durations,
+//!    so their values repeat exactly too.
 //!
 //! ## Quick example
 //!
@@ -57,9 +58,9 @@ pub mod monitor;
 pub mod sink;
 pub mod span;
 
-pub use metrics::{counters, gauges, histograms, Counter, Gauge, Histogram};
+pub use metrics::{counters, gauges, Counter, Gauge};
 pub use monitor::{MonitorSnapshot, MonitorSpec, MonitorState};
-pub use sink::{HistogramSnapshot, Snapshot};
+pub use sink::Snapshot;
 pub use span::{event, span, span_labeled, span_under, Span, SpanId, SpanRecord};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,8 +105,8 @@ pub fn disable() {
 }
 
 /// Clears all collected spans and zeroes every registered metric. Call
-/// between measured sections (e.g. `exp_runtime` resets before the run
-/// whose phase tree it reports). Spans still open across a reset will
+/// between measured sections (e.g. a test resets before the run whose
+/// trace it compares). Spans still open across a reset will
 /// record into the fresh collector; avoid resetting mid-span.
 pub fn reset() {
     span::reset_collector();

@@ -1,4 +1,5 @@
-//! The metrics registry: counters, gauges, and fixed-bucket histograms.
+//! The metrics registry: counters and gauges, plus the power-of-two
+//! bucket layout the live monitors' distance digests use.
 //!
 //! Metrics are `static` values with `const` constructors — call sites pay
 //! one relaxed-atomic enabled check when disabled, and lock-free atomic
@@ -12,14 +13,15 @@
 //! one [`Counter::add`] per counter per query; Lloyd's algorithm adds its
 //! per-fit totals once per iteration, not per point.
 //!
-//! The well-known metric names live in [`counters`], [`gauges`], and
-//! [`histograms`]; the catalog (name → unit → where recorded) is
-//! documented in `DESIGN.md` §6.
+//! Every metric is a count, never a duration (spans time the phases), so
+//! a run's metric values repeat exactly at every thread count. The
+//! well-known metric names live in [`counters`] and [`gauges`]; the
+//! catalog (name → unit → where recorded) is documented in `DESIGN.md` §6.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Number of histogram buckets. Bucket `0` counts zero values; bucket
+/// Number of digest buckets. Bucket `0` counts zero values; bucket
 /// `i ≥ 1` counts values `v` with `2^(i-1) ≤ v < 2^i`; the last bucket is
 /// unbounded above.
 pub const HISTOGRAM_BUCKETS: usize = 32;
@@ -27,11 +29,10 @@ pub const HISTOGRAM_BUCKETS: usize = 32;
 struct Registry {
     counters: Vec<&'static Counter>,
     gauges: Vec<&'static Gauge>,
-    histograms: Vec<&'static Histogram>,
 }
 
 static REGISTRY: Mutex<Registry> =
-    Mutex::new(Registry { counters: Vec::new(), gauges: Vec::new(), histograms: Vec::new() });
+    Mutex::new(Registry { counters: Vec::new(), gauges: Vec::new() });
 
 pub(crate) fn reset_values() {
     let reg = REGISTRY.lock().expect("metric registry poisoned");
@@ -40,13 +41,6 @@ pub(crate) fn reset_values() {
     }
     for g in &reg.gauges {
         g.value.store(0, Ordering::Relaxed);
-    }
-    for h in &reg.histograms {
-        h.count.store(0, Ordering::Relaxed);
-        h.sum.store(0, Ordering::Relaxed);
-        for b in &h.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -69,22 +63,6 @@ pub(crate) fn collect_gauges() -> Vec<(String, u64)> {
         .map(|g| (g.name.to_string(), g.value.load(Ordering::Relaxed)))
         .collect();
     out.sort();
-    out
-}
-
-pub(crate) fn collect_histograms() -> Vec<crate::sink::HistogramSnapshot> {
-    let reg = REGISTRY.lock().expect("metric registry poisoned");
-    let mut out: Vec<crate::sink::HistogramSnapshot> = reg
-        .histograms
-        .iter()
-        .map(|h| crate::sink::HistogramSnapshot {
-            name: h.name.to_string(),
-            count: h.count.load(Ordering::Relaxed),
-            sum: h.sum.load(Ordering::Relaxed),
-            buckets: h.buckets.each_ref().map(|b| b.load(Ordering::Relaxed)).to_vec(),
-        })
-        .collect();
-    out.sort_by(|a, b| a.name.cmp(&b.name));
     out
 }
 
@@ -166,18 +144,6 @@ impl Gauge {
     }
 }
 
-/// A histogram over `u64` values with a fixed power-of-two bucket layout:
-/// bucket 0 counts zeros, bucket `i ≥ 1` counts `2^(i-1) ≤ v < 2^i`, and
-/// the final bucket absorbs everything `≥ 2^30`. One layout for every
-/// histogram keeps traces mergeable and the bucket math branch-free.
-pub struct Histogram {
-    name: &'static str,
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    sum: AtomicU64,
-    count: AtomicU64,
-    registered: AtomicBool,
-}
-
 /// The bucket a value lands in: `0` for zero, else
 /// `min(bit_length(v), HISTOGRAM_BUCKETS - 1)`.
 #[inline]
@@ -199,44 +165,6 @@ pub fn bucket_upper_bound(i: usize) -> Option<u64> {
     }
 }
 
-impl Histogram {
-    /// Creates a histogram — use in a `static`.
-    pub const fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            buckets: [const { AtomicU64::new(0) }; HISTOGRAM_BUCKETS],
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-            registered: AtomicBool::new(false),
-        }
-    }
-
-    /// The metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Records one observation. No-op when telemetry is disabled.
-    #[inline]
-    pub fn record(&'static self, value: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        if !self.registered.swap(true, Ordering::AcqRel) {
-            REGISTRY.lock().expect("metric registry poisoned").histograms.push(self);
-        }
-        self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a duration in nanoseconds.
-    #[inline]
-    pub fn record_ns(&'static self, dur: std::time::Duration) {
-        self.record(dur.as_nanos() as u64);
-    }
-}
-
 /// Well-known counters. Units and recording sites: `DESIGN.md` §6.
 pub mod counters {
     use super::Counter;
@@ -250,7 +178,9 @@ pub mod counters {
     /// SSE probes evaluated by LOG-Means / the elbow estimator (cache
     /// misses; cache hits are free).
     pub static LOGMEANS_PROBES: Counter = Counter::new("clustering.logmeans_probes");
-    /// Samples classified by the online phase.
+    /// Rows the serving plane classified, added once per call: the
+    /// accepted rows of a batch, every row of a dataset, 1 per accepted
+    /// single row.
     pub static ONLINE_SAMPLES: Counter = Counter::new("online.samples");
     /// Leaf points reached (post-filter) by kd-tree queries.
     pub static KNN_POINTS_SCANNED: Counter = Counter::new("knn.points_scanned");
@@ -307,9 +237,6 @@ pub mod counters {
     /// Empty clusters re-seeded from the farthest point during Lloyd
     /// iterations (the degenerate-cluster collapse fix).
     pub static KMEANS_EMPTY_RESEEDS: Counter = Counter::new("clustering.empty_reseeds");
-    /// Nanoseconds spent lowering fitted models into the compiled serving
-    /// plane (flat SoA artifacts), accumulated across `compile()` calls.
-    pub static SERVE_COMPILE_NS: Counter = Counter::new("serve.compile_ns");
     /// Rows dispatched through per-model buckets by the compiled batch
     /// path.
     pub static SERVE_BUCKET_ROWS: Counter = Counter::new("serve.bucket_rows");
@@ -356,15 +283,6 @@ pub mod gauges {
     pub static SERVE_DEDUP_MODELS: Gauge = Gauge::new("serve.dedup_models");
 }
 
-/// Well-known histograms.
-pub mod histograms {
-    use super::Histogram;
-
-    /// Per-sample duration of the online nearest-centroid region match,
-    /// nanoseconds.
-    pub static ONLINE_MATCH_NS: Histogram = Histogram::new("online.match_ns");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,28 +308,6 @@ mod tests {
             assert_eq!(bucket_index(hi), i + 1, "lower boundary of bucket {}", i + 1);
         }
         assert_eq!(bucket_upper_bound(HISTOGRAM_BUCKETS - 1), None);
-    }
-
-    #[test]
-    fn histogram_records_into_the_right_buckets() {
-        static H: Histogram = Histogram::new("test.bucket_hist");
-        let _guard = TEST_LOCK.lock().unwrap();
-        crate::enable();
-        crate::reset();
-        for v in [0u64, 1, 2, 3, 4, 1000, 1 << 40] {
-            H.record(v);
-        }
-        crate::disable();
-        let snap = crate::snapshot();
-        let h = snap.histogram("test.bucket_hist").expect("registered");
-        assert_eq!(h.count, 7);
-        assert_eq!(h.sum, 1 + 2 + 3 + 4 + 1000 + (1u64 << 40));
-        assert_eq!(h.buckets[0], 1); // 0
-        assert_eq!(h.buckets[1], 1); // 1
-        assert_eq!(h.buckets[2], 2); // 2, 3
-        assert_eq!(h.buckets[3], 1); // 4
-        assert_eq!(h.buckets[10], 1); // 1000
-        assert_eq!(h.buckets[HISTOGRAM_BUCKETS - 1], 1); // 2^40
     }
 
     #[test]

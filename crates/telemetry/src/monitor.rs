@@ -17,8 +17,8 @@
 //!
 //! 1. **Zero cost when uninstalled.** The hot-path gate is one acquire
 //!    load of an [`AtomicPtr`] plus a null check ([`batch`] returns
-//!    `None`); `exp_runtime --smoke` pins this under the same <50 ns
-//!    bound as the disabled counter/span paths.
+//!    `None`); the release-only test `tests/disabled_path.rs` pins this
+//!    under the same 50 ns bound as the disabled counter/span paths.
 //! 2. **Observation never perturbs results.** Recording is write-only:
 //!    predictions are bit-identical with monitors on or off
 //!    (`tests/monitoring.rs`).

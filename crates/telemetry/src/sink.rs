@@ -14,43 +14,6 @@
 use crate::span::{SpanRecord, UNORDERED};
 use std::fmt::Write as _;
 
-/// Aggregated state of one histogram at snapshot time.
-#[derive(Debug, Clone)]
-pub struct HistogramSnapshot {
-    /// Metric name.
-    pub name: String,
-    /// Number of recorded observations.
-    pub count: u64,
-    /// Sum of all observations.
-    pub sum: u64,
-    /// Per-bucket counts; layout in [`crate::metrics::bucket_index`].
-    pub buckets: Vec<u64>,
-}
-
-impl HistogramSnapshot {
-    /// Mean observation, or 0 when empty.
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Smallest bucket upper bound covering at least `q` (0..=1) of the
-    /// observations — a coarse quantile, exact to the power-of-two bucket.
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target.max(1) {
-                return crate::metrics::bucket_upper_bound(i).or(Some(u64::MAX));
-            }
-        }
-        Some(u64::MAX)
-    }
-}
-
 /// An immutable copy of all collected spans and metrics.
 pub struct Snapshot {
     /// Every finished span and event, in collection order.
@@ -59,8 +22,6 @@ pub struct Snapshot {
     pub counters: Vec<(String, u64)>,
     /// `(name, value)` for every registered gauge, sorted by name.
     pub gauges: Vec<(String, u64)>,
-    /// Every registered histogram, sorted by name.
-    pub histograms: Vec<HistogramSnapshot>,
 }
 
 impl Snapshot {
@@ -70,7 +31,6 @@ impl Snapshot {
             spans: crate::span::drain_records(),
             counters: crate::metrics::collect_counters(),
             gauges: crate::metrics::collect_gauges(),
-            histograms: crate::metrics::collect_histograms(),
         }
     }
 
@@ -84,11 +44,6 @@ impl Snapshot {
         self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    /// The named histogram, if it ever recorded.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|h| h.name == name)
-    }
-
     /// Root spans (parent 0), sorted by `(ordinal, id)`.
     pub fn roots(&self) -> Vec<&SpanRecord> {
         self.children_of(0)
@@ -100,12 +55,6 @@ impl Snapshot {
         let mut kids: Vec<&SpanRecord> = self.spans.iter().filter(|s| s.parent == id).collect();
         kids.sort_by_key(|s| (s.ordinal, s.id));
         kids
-    }
-
-    /// Sum of `dur_ns` over every span with the given name — the
-    /// per-phase totals behind `exp_runtime`'s breakdown table.
-    pub fn total_ns(&self, name: &str) -> u64 {
-        self.spans.iter().filter(|s| s.name == name && !s.is_event).map(|s| s.dur_ns).sum()
     }
 
     /// Renders the phase tree: one line per span, indented by depth,
@@ -124,19 +73,6 @@ impl Snapshot {
             for (name, v) in &self.gauges {
                 let _ = writeln!(out, "  {name} = {v} (gauge)");
             }
-        }
-        for h in &self.histograms {
-            let q = |q: f64| h.quantile_upper_bound(q).map_or_else(|| "?".into(), fmt_ns);
-            let _ = writeln!(
-                out,
-                "  {} = n={} mean={} p50<={} p90<={} p99<={} (histogram)",
-                h.name,
-                h.count,
-                fmt_ns(h.mean()),
-                q(0.5),
-                q(0.9),
-                q(0.99),
-            );
         }
         out
     }
@@ -163,8 +99,8 @@ impl Snapshot {
     }
 
     /// Serialises the snapshot as JSON lines: spans in deterministic tree
-    /// order (`{"type":"span"|"event",...}`), then counters, gauges, and
-    /// histograms. Every line is a complete JSON object.
+    /// order (`{"type":"span"|"event",...}`), then counters and gauges.
+    /// Every line is a complete JSON object.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for root in self.roots() {
@@ -175,17 +111,6 @@ impl Snapshot {
         }
         for (name, v) in &self.gauges {
             let _ = writeln!(out, "{{\"type\":\"gauge\",\"name\":{},\"value\":{v}}}", json_str(name));
-        }
-        for h in &self.histograms {
-            let buckets: Vec<String> = h.buckets.iter().map(|b| b.to_string()).collect();
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"histogram\",\"name\":{},\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
-                json_str(&h.name),
-                h.count,
-                h.sum,
-                buckets.join(","),
-            );
         }
         out
     }
@@ -268,7 +193,6 @@ mod tests {
             let _child = crate::span_labeled("child", "with \"quotes\" and \\slashes\\");
             crate::event("note", "line\nbreak");
             crate::metrics::counters::ONLINE_SAMPLES.add(2);
-            crate::metrics::histograms::ONLINE_MATCH_NS.record(150);
         }
         crate::disable();
         let jsonl = crate::snapshot().to_jsonl();
@@ -283,7 +207,6 @@ mod tests {
         assert!(jsonl.contains("\\\"quotes\\\""));
         assert!(jsonl.contains("line\\nbreak"));
         assert!(jsonl.contains("\"type\":\"counter\""));
-        assert!(jsonl.contains("\"type\":\"histogram\""));
     }
 
     #[test]
@@ -302,13 +225,6 @@ mod tests {
         let child_line = tree.lines().position(|l| l.starts_with("  offline.clustering")).unwrap();
         assert!(child_line > root_line, "child must be indented under parent:\n{tree}");
         assert!(tree.contains("offline.lloyd_iterations = 12"), "{tree}");
-    }
-
-    #[test]
-    fn quantile_and_mean_on_empty_histogram() {
-        let h = HistogramSnapshot { name: "x".into(), count: 0, sum: 0, buckets: vec![0; 32] };
-        assert_eq!(h.mean(), 0);
-        assert_eq!(h.quantile_upper_bound(0.5), None);
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub(crate) fn reset_collector() {
     let c = collector();
     c.spans.lock().expect("span collector poisoned").clear();
     // Restart ids so tree ordering is reproducible run-to-run within a
-    // process (exp_runtime resets before its measured section).
+    // process (tests reset before each run whose trace they compare).
     NEXT_ID.store(1, Ordering::Relaxed);
 }
 

@@ -1,5 +1,6 @@
 //! Observation never perturbs results: the whole pipeline — fit, persist,
-//! restore, batch classify — must be **bit-identical** with telemetry
+//! restore, compile, and serve through the compiled plane's dataset and
+//! batch entry points — must be **bit-identical** with telemetry
 //! recording on and off. Telemetry only reads what the pipeline already
 //! computes; any counter or span whose presence changes a centroid bit or
 //! a prediction is a hard failure here.
@@ -9,7 +10,7 @@
 //! suite covers the pipeline side, plus the trace-export invariants the
 //! CI artifact relies on.
 
-use falcc::{ClusterSpec, FairClassifier, FalccConfig, FalccModel, SavedFalccModel};
+use falcc::{ClusterSpec, FairClassifier, FalccConfig, FalccModel, RowFault, SavedFalccModel};
 use falcc_dataset::{synthetic, SplitRatios, ThreeWaySplit};
 use std::sync::Mutex;
 
@@ -22,6 +23,10 @@ struct Fitted {
     combos: Vec<Vec<usize>>,
     preds: Vec<u8>,
     restored_preds: Vec<u8>,
+    /// The compiled plane's `predict_dataset`, at the fit's thread count.
+    served_preds: Vec<u8>,
+    /// The compiled plane's `classify_batch` over the same rows.
+    served_batch: Vec<Result<u8, RowFault>>,
 }
 
 fn fit(seed: u64, threads: usize) -> Fitted {
@@ -39,6 +44,8 @@ fn fit_with(mut cfg: FalccConfig, seed: u64, threads: usize) -> Fitted {
     let model = FalccModel::fit(&split.train, &split.validation, &cfg).expect("fit");
     let json = SavedFalccModel::capture(&model).expect("capture").to_json().expect("json");
     let restored = SavedFalccModel::from_json(&json).expect("parse").restore();
+    let compiled = model.compile();
+    let rows: Vec<Vec<f64>> = (0..split.test.len()).map(|i| split.test.row(i).to_vec()).collect();
     Fitted {
         centroid_bits: model
             .centroids()
@@ -48,6 +55,8 @@ fn fit_with(mut cfg: FalccConfig, seed: u64, threads: usize) -> Fitted {
         combos: (0..model.n_regions()).map(|c| model.combo(c).to_vec()).collect(),
         preds: model.predict_dataset(&split.test),
         restored_preds: restored.predict_dataset(&split.test),
+        served_preds: compiled.predict_dataset(&split.test),
+        served_batch: compiled.classify_batch(&rows),
     }
 }
 
@@ -76,6 +85,12 @@ fn pipeline_is_bit_identical_with_telemetry_on_and_off() {
     assert_eq!(off.preds, on.preds, "telemetry changed predictions");
     assert_eq!(off.restored_preds, on.restored_preds);
     assert_eq!(off.preds, off.restored_preds, "persistence round trip diverged");
+    assert!(snap.counter("online.samples") > 0, "the serving plane recorded no rows");
+    assert_eq!(off.served_preds, on.served_preds, "telemetry changed served labels");
+    assert_eq!(off.served_batch, on.served_batch, "telemetry changed served batch verdicts");
+    assert_eq!(off.served_preds, off.preds, "serving plane diverged from the reference");
+    let reference_batch: Vec<Result<u8, RowFault>> = off.preds.iter().map(|&p| Ok(p)).collect();
+    assert_eq!(off.served_batch, reference_batch, "served batch diverged from the reference");
 }
 
 #[test]
@@ -83,7 +98,8 @@ fn recorded_trace_is_deterministic_in_structure() {
     let _guard = TELEMETRY_LOCK.lock().unwrap();
     // Durations vary run to run, but names, nesting, ordinals, and metric
     // values must not: two identical runs produce the same skeleton even
-    // at different thread counts. The second fit estimates k with
+    // at different thread counts, serving spans and counters included
+    // (every metric is a count). The second fit estimates k with
     // LOG-Means, whose probes run in parallel.
     type Skeleton = (Vec<(String, u64)>, Vec<(String, u64)>);
     let skeleton = |threads: usize| -> Skeleton {
@@ -120,6 +136,7 @@ fn recorded_trace_is_deterministic_in_structure() {
         "offline.lloyd_iterations",
         "offline.splits_screened",
         "offline.split_blocks_screened",
+        "online.samples",
     ] {
         assert!(counter(name) > 0, "{name} was not recorded");
     }
