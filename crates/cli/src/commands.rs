@@ -80,7 +80,11 @@ fn run_demo(args: RunArgs) -> Result<String, CliError> {
         (path.clone(), falcc_telemetry::monitor::install(spec))
     });
     falcc_telemetry::progress("classifying test split (compiled serving plane)");
-    let preds = model.compile().predict_dataset(&split.test);
+    // Served through `classify_batch`, which honours the plan's
+    // `row:<i>` faults (`predict_dataset` does not); rejected rows are
+    // counted and left out of the scores below.
+    let rows: Vec<Vec<f64>> = (0..split.test.len()).map(|i| split.test.row(i).to_vec()).collect();
+    let served = model.compile().classify_batch(&rows);
     if let Some((path, state)) = monitor {
         falcc_telemetry::monitor::uninstall();
         state
@@ -90,8 +94,11 @@ fn run_demo(args: RunArgs) -> Result<String, CliError> {
         falcc_telemetry::progress(format!("monitor stream written to {path}"));
     }
 
-    let y = split.test.labels();
-    let g = split.test.groups();
+    let accepted: Vec<usize> = (0..served.len()).filter(|&i| served[i].is_ok()).collect();
+    let preds: Vec<u8> = served.iter().filter_map(|r| r.as_ref().ok().copied()).collect();
+    let y: Vec<u8> = accepted.iter().map(|&i| split.test.label(i)).collect();
+    let g: Vec<_> = accepted.iter().map(|&i| split.test.group(i)).collect();
+    let rejected = served.len() - accepted.len();
     let n_groups = split.test.group_index().len();
     let mut out = String::new();
     let _ = writeln!(
@@ -106,9 +113,17 @@ fn run_demo(args: RunArgs) -> Result<String, CliError> {
         out,
         "test ({} rows): accuracy {:.2}%, demographic parity bias {:.2}%",
         split.test.len(),
-        accuracy(y, &preds) * 100.0,
-        FairnessMetric::DemographicParity.bias(y, &preds, g, n_groups) * 100.0
+        accuracy(&y, &preds) * 100.0,
+        FairnessMetric::DemographicParity.bias(&y, &preds, &g, n_groups) * 100.0
     );
+    if injecting || rejected > 0 {
+        let _ = writeln!(
+            out,
+            "rejected rows: {rejected} of {} (accuracy and bias score the {} accepted rows)",
+            served.len(),
+            accepted.len()
+        );
+    }
     if injecting {
         // Degradation counters record only while telemetry is on; without
         // it, still confirm the run was degraded-by-design.
@@ -1085,6 +1100,14 @@ mod tests {
 
         falcc_telemetry::set_quiet(false);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn run_inject_row_rejects_exactly_that_row() {
+        let out = crate::run(&v(&["run", "--scale", "0.05", "--inject", "row:3", "--quiet"]))
+            .unwrap();
+        assert!(out.contains("rejected rows: 1 of "), "{out}");
+        falcc_telemetry::set_quiet(false);
     }
 
     #[test]

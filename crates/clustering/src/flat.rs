@@ -1,37 +1,44 @@
-//! Flat centroid matrix for the compiled serving plane.
+//! Flat centroid matrix: the crate's one nearest-centroid kernel.
 //!
 //! [`crate::KMeansModel`] stores its centroids as `Vec<Vec<f64>>` — one
 //! heap allocation per centroid, so every nearest-centroid query chases
 //! `k` pointers. [`CentroidMatrix`] packs the same centroids into one
-//! contiguous row-major `k × d` slab plus a transposed copy, turning the
-//! region match into a linear sweep over one cache-resident block.
+//! contiguous row-major `k × d` slab plus a transposed copy, turning a
+//! nearest-centroid query into a linear sweep over one cache-resident
+//! block. The compiled serving plane matches regions through it, and the
+//! bounded Lloyd kernel runs its full rescans and its final assignment
+//! through it.
 //!
 //! **Equivalence contract**: [`CentroidMatrix::nearest`] replicates
 //! [`crate::KMeansModel::predict`] *bit for bit* — the same exact
 //! squared-distance summation per centroid and the same
 //! strict-improvement argmin in centroid order (first centroid wins
-//! ties), whether or not telemetry is recording.
+//! ties). [`CentroidMatrix::nearest_two`] returns the same argmin, its
+//! distance and the runner-up distance, each with the bits of the scalar
+//! scan over `sq_dist`.
 
-use crate::kmeans::{sq_dist, KMeansModel};
+use crate::kmeans::KMeansModel;
 
-/// Widest centroid count served by the transposed (column-major) scan;
-/// beyond it the scan falls back to the row-major four-lane sweep. 32
-/// accumulators fit comfortably in registers/L1 and cover every
-/// serving-plane configuration (the paper's grids stay below k = 16).
-const COLUMN_SCAN_MAX_K: usize = 32;
+/// Widest lane count of the transposed sweep. Up to this many centroids
+/// the slab is one block, `k` rounded up to 4, 8, 16 or 32 lanes; beyond
+/// it the centroids are cut into blocks of 32. 32 accumulators fit
+/// comfortably in registers.
+const MAX_LANES: usize = 32;
 
 /// Contiguous centroid slab in both orders.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CentroidMatrix {
     data: Vec<f64>,
-    /// The same centroids transposed and padded: `cols[j * col_stride +
-    /// c]` is coordinate `j` of centroid `c`, so one query coordinate
-    /// touches all `k` centroids through one contiguous run — the shape
-    /// the auto-vectoriser wants for the distance sweep. Padding columns
-    /// (up to the power-of-two stride) are zero and never compared.
+    /// The same centroids transposed, in blocks of `lanes` centroids:
+    /// `cols[(b * d + j) * lanes + l]` is coordinate `j` of centroid
+    /// `b * lanes + l`, so one query coordinate touches a whole block
+    /// through one contiguous run — the shape the auto-vectoriser wants
+    /// for the distance sweep. Lanes past `k` in the last block are zero
+    /// and never compared.
     cols: Vec<f64>,
-    /// Power-of-two row length of `cols` (4–32); `k` rounded up.
-    col_stride: usize,
+    /// Lanes per block (4, 8, 16 or 32): `k` rounded up to the next
+    /// power of two, capped at [`MAX_LANES`].
+    lanes: usize,
     k: usize,
     n_cols: usize,
 }
@@ -43,15 +50,23 @@ impl CentroidMatrix {
     /// Panics if the model has no centroids (a fitted model always has
     /// `k ≥ 1`).
     pub fn from_model(model: &KMeansModel) -> Self {
-        assert!(!model.centroids.is_empty(), "cannot flatten a centroid-free model");
-        let n_cols = model.centroids[0].len();
-        let mut data = Vec::with_capacity(model.centroids.len() * n_cols);
-        for centroid in &model.centroids {
+        Self::from_rows(&model.centroids)
+    }
+
+    /// Packs centroid rows of equal length.
+    ///
+    /// # Panics
+    /// Panics if `centroids` is empty.
+    pub(crate) fn from_rows(centroids: &[Vec<f64>]) -> Self {
+        assert!(!centroids.is_empty(), "cannot flatten a centroid-free model");
+        let n_cols = centroids[0].len();
+        let mut data = Vec::with_capacity(centroids.len() * n_cols);
+        for centroid in centroids {
             data.extend_from_slice(centroid);
         }
-        match Self::from_raw(data, model.centroids.len(), n_cols) {
+        match Self::from_raw(data, centroids.len(), n_cols) {
             Ok(matrix) => matrix,
-            Err(detail) => unreachable!("fitted model produced invalid slab: {detail}"),
+            Err(detail) => unreachable!("centroid rows produced an invalid slab: {detail}"),
         }
     }
 
@@ -74,46 +89,20 @@ impl CentroidMatrix {
                 data.len()
             ));
         }
-        let col_stride = k.next_power_of_two().clamp(4, COLUMN_SCAN_MAX_K);
-        let mut cols = vec![0.0; col_stride * n_cols];
-        if k <= COLUMN_SCAN_MAX_K {
-            for (c, centroid) in data.chunks_exact(n_cols.max(1)).enumerate().take(k) {
-                for (j, &v) in centroid.iter().enumerate() {
-                    cols[j * col_stride + c] = v;
-                }
+        let lanes = k.next_power_of_two().clamp(4, MAX_LANES);
+        let mut cols = vec![0.0; k.div_ceil(lanes) * lanes * n_cols];
+        for (c, centroid) in data.chunks_exact(n_cols.max(1)).enumerate().take(k) {
+            let (block, lane) = (c / lanes, c % lanes);
+            for (j, &v) in centroid.iter().enumerate() {
+                cols[(block * n_cols + j) * lanes + lane] = v;
             }
         }
-        Ok(Self { data, cols, col_stride, k, n_cols })
+        Ok(Self { data, cols, lanes, k, n_cols })
     }
 
     /// The row-major `k × d` centroid slab.
     pub fn data(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Transposed distance sweep with a compile-time column width `K`
-    /// (== `self.col_stride`): all running sums advance together through
-    /// contiguous fixed-shape loads, which the auto-vectoriser turns
-    /// into a handful of vector FMAs per query coordinate. Accumulator
-    /// `c` receives exactly [`sq_dist`]'s addition sequence for centroid
-    /// `c`, and the argmin scan uses the same ascending-order
-    /// strict-improvement rule — bit-identical to the scalar scan.
-    fn column_scan<const K: usize>(&self, point: &[f64], k: usize) -> usize {
-        debug_assert_eq!(self.col_stride, K);
-        let mut acc = [0.0f64; K];
-        for (&x, col) in point.iter().zip(self.cols.chunks_exact(K)) {
-            for (a, &y) in acc.iter_mut().zip(col) {
-                let d = x - y;
-                *a += d * d;
-            }
-        }
-        let mut best = (0usize, f64::INFINITY);
-        for (c, &d) in acc[..k].iter().enumerate() {
-            if d < best.1 {
-                best = (c, d);
-            }
-        }
-        best.0
     }
 
     /// Number of centroids.
@@ -132,80 +121,121 @@ impl CentroidMatrix {
         &self.data[c * self.n_cols..(c + 1) * self.n_cols]
     }
 
-    /// Squared distances from `point` to centroids `c..c + 4` — four
-    /// *independent* accumulator chains stepped in lockstep, so their
-    /// floating-point add latencies overlap. Each lane performs exactly
-    /// [`sq_dist`]'s operation sequence on its own centroid, so every
-    /// returned distance carries the same bits as a scalar call.
-    #[inline]
-    fn sq_dist4(&self, point: &[f64], c: usize) -> [f64; 4] {
-        let d = point.len();
-        // `[..d]` re-slices teach the optimizer that every row spans the
-        // whole loop range, so the inner accesses are bounds-check-free.
-        let r0 = &self.row(c)[..d];
-        let r1 = &self.row(c + 1)[..d];
-        let r2 = &self.row(c + 2)[..d];
-        let r3 = &self.row(c + 3)[..d];
-        let mut acc = [0.0f64; 4];
-        for (j, &x) in point.iter().enumerate() {
-            let d0 = x - r0[j];
-            acc[0] += d0 * d0;
-            let d1 = x - r1[j];
-            acc[1] += d1 * d1;
-            let d2 = x - r2[j];
-            acc[2] += d2 * d2;
-            let d3 = x - r3[j];
-            acc[3] += d3 * d3;
-        }
-        acc
-    }
-
     /// Index of the centroid nearest to `point` — bit-identical to
     /// [`KMeansModel::predict`] on the source model.
-    ///
-    /// Up to [`COLUMN_SCAN_MAX_K`] centroids the transposed sweep
-    /// ([`Self::column_scan`]) runs; beyond it, distances are computed
-    /// four centroids at a time ([`Self::sq_dist4`]). Either way every
-    /// distance carries [`sq_dist`]'s bits and is compared strictly in
-    /// centroid order with the same strict-improvement rule, so the
-    /// argmin (first centroid wins ties) is unchanged.
     ///
     /// # Panics
     /// Panics if `point.len() != self.n_cols()`.
     pub fn nearest(&self, point: &[f64]) -> usize {
-        assert_eq!(point.len(), self.n_cols, "point dimensionality must match centroids");
-        let k = self.k;
-        // Compile-time widths so the transposed sweep's inner loop is a
-        // fixed-shape vector body; k values off the powers of two pad up
-        // to the next one (padding columns are zero and ignored by the
-        // argmin bound).
-        match k {
-            1 => return 0,
-            2..=4 => return self.column_scan::<4>(point, k),
-            5..=8 => return self.column_scan::<8>(point, k),
-            9..=16 => return self.column_scan::<16>(point, k),
-            17..=COLUMN_SCAN_MAX_K => return self.column_scan::<COLUMN_SCAN_MAX_K>(point, k),
-            _ => {}
+        if self.k == 1 {
+            assert_eq!(point.len(), self.n_cols, "point dimensionality must match centroids");
+            return 0;
         }
-        let mut best = (0usize, f64::INFINITY);
-        let mut c = 0;
-        while c + 4 <= k {
-            let dists = self.sq_dist4(point, c);
-            for (lane, d) in dists.into_iter().enumerate() {
-                if d < best.1 {
-                    best = (c + lane, d);
-                }
-            }
-            c += 4;
-        }
-        for tail in c..k {
-            let d = sq_dist(point, self.row(tail));
-            if d < best.1 {
-                best = (tail, d);
-            }
-        }
-        best.0
+        self.nearest_dist(point).0
     }
+
+    /// The nearest centroid and its squared distance, with the bits of
+    /// the scalar scan: the strict-improvement argmin in centroid order.
+    ///
+    /// # Panics
+    /// Panics if `point.len() != self.n_cols()`.
+    #[inline]
+    pub(crate) fn nearest_dist(&self, point: &[f64]) -> (usize, f64) {
+        let mut best = (0usize, f64::INFINITY);
+        self.sweep(point, |c, d| {
+            if d < best.1 {
+                best = (c, d);
+            }
+        });
+        best
+    }
+
+    /// The nearest centroid, its squared distance and the runner-up
+    /// distance (`∞` when `k == 1`). The argmin is [`Self::nearest`]'s;
+    /// the runner-up is the smallest distance of any other centroid, so
+    /// it equals the best distance when two centroids tie. Every
+    /// distance carries the bits of `sq_dist`.
+    ///
+    /// # Panics
+    /// Panics if `point.len() != self.n_cols()`.
+    #[inline]
+    pub fn nearest_two(&self, point: &[f64]) -> (usize, f64, f64) {
+        let mut best = (0usize, f64::INFINITY);
+        let mut second = f64::INFINITY;
+        self.sweep(point, |c, d| {
+            if d < best.1 {
+                second = best.1;
+                best = (c, d);
+            } else if d < second {
+                second = d;
+            }
+        });
+        (best.0, best.1, second)
+    }
+
+    /// Feeds `fold` every centroid's squared distance to `point`, in
+    /// ascending centroid order. Dispatches to the block width this
+    /// matrix was packed with, so the accumulation loop has a
+    /// compile-time shape.
+    #[inline]
+    fn sweep(&self, point: &[f64], fold: impl FnMut(usize, f64)) {
+        assert_eq!(point.len(), self.n_cols, "point dimensionality must match centroids");
+        match self.lanes {
+            4 => self.sweep_blocks::<4>(point, fold),
+            8 => self.sweep_blocks::<8>(point, fold),
+            16 => self.sweep_blocks::<16>(point, fold),
+            _ => self.sweep_blocks::<MAX_LANES>(point, fold),
+        }
+    }
+
+    /// Transposed distance sweep with a compile-time lane count `W`
+    /// (== `self.lanes`): one [`block_sums`] per block of `W` centroids,
+    /// whose lane `l` belongs to centroid `first + l`. Padded lanes are
+    /// dropped before `fold`. A single block (`k ≤ W`, every serving
+    /// configuration) skips the block loop and its slicing: in a scratch
+    /// timing at k = 3 and 8 that kept the region match at the speed of
+    /// the former single-block scan, which the loop form did not.
+    #[inline(always)]
+    fn sweep_blocks<const W: usize>(&self, point: &[f64], mut fold: impl FnMut(usize, f64)) {
+        debug_assert_eq!(self.lanes, W);
+        if self.k <= W {
+            let acc = block_sums::<W>(point, &self.cols);
+            for (c, &d) in acc[..self.k].iter().enumerate() {
+                fold(c, d);
+            }
+            return;
+        }
+        let block_len = W * self.n_cols;
+        let (mut first, mut start) = (0, 0);
+        while first < self.k {
+            let acc = block_sums::<W>(point, &self.cols[start..start + block_len]);
+            for (lane, &d) in acc[..(self.k - first).min(W)].iter().enumerate() {
+                fold(first + lane, d);
+            }
+            first += W;
+            start += block_len;
+        }
+    }
+}
+
+/// Squared distances from `point` to the `W` centroids of one transposed
+/// block: all `W` running sums advance together through contiguous
+/// fixed-shape loads, which the auto-vectoriser turns into a handful of
+/// vector operations per query coordinate. Lane `l` receives exactly
+/// `sq_dist`'s addition sequence for its centroid: the squares in
+/// coordinate order, starting from `+0.0` (a square is never `−0.0`, so
+/// the first addition gives the same bits whichever zero a sum starts
+/// from), and rustc neither contracts nor reassociates them.
+#[inline(always)]
+fn block_sums<const W: usize>(point: &[f64], block: &[f64]) -> [f64; W] {
+    let mut acc = [0.0f64; W];
+    for (&x, col) in point.iter().zip(block.chunks_exact(W)) {
+        for (a, &y) in acc.iter_mut().zip(col) {
+            let d = x - y;
+            *a += d * d;
+        }
+    }
+    acc
 }
 
 #[cfg(test)]

@@ -14,16 +14,21 @@
 //! bounded loop keeps, per point, a deflated lower bound on the Euclidean
 //! distance to the nearest *other* centroid; while the exact distance to
 //! the assigned centroid stays below that bound, the full centroid scan is
-//! skipped. Because the exact assigned distance is still computed every
-//! iteration (it feeds the SSE/convergence accumulator in the same order),
-//! and the bound's safety margins dwarf float rounding, both kernels
-//! produce **bit-identical** assignments, centroids, and SSE — a property
-//! pinned by the equivalence proptests in `tests/kernel_equivalence.rs`.
+//! skipped. The scans it does run, and its final assignment, go through
+//! [`CentroidMatrix`]'s transposed sweep, whose lanes add exactly the
+//! scalar `sq_dist`'s terms in the same order. The naive kernel scans
+//! scalar rows and is the reference. Because the exact assigned distance
+//! is still computed every iteration (it feeds the SSE/convergence
+//! accumulator in the same order), and the bound's safety margins dwarf
+//! float rounding, both kernels produce **bit-identical** assignments,
+//! centroids, and SSE — a property pinned by the equivalence proptests in
+//! `tests/kernel_equivalence.rs`.
 //!
 //! The textbook `‖x−c‖² = ‖x‖² − 2x·c + ‖c‖²` expansion is deliberately
 //! *not* used in the distance path: it changes float summation order and
 //! therefore the bits.
 
+use crate::flat::CentroidMatrix;
 use falcc_dataset::dataset::ProjectedMatrix;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -128,7 +133,8 @@ impl KMeans {
         }
 
         falcc_telemetry::counters::LLOYD_ITERATIONS.add(iterations);
-        finalize(x, centroids, assignments)
+        let sse = finalize(x, &mut assignments, |row| nearest_centroid(row, &centroids));
+        KMeansModel { centroids, assignments, sse }
     }
 
     /// Bounded kernel: per point, `lb[i]` is a (deflated) lower bound on
@@ -140,9 +146,14 @@ impl KMeans {
     /// so the O(k·d) scan is skipped. After each centroid update the
     /// bounds decay by the largest (inflated) centroid movement — or the
     /// second largest for points assigned to the most-moved centroid.
+    ///
+    /// The centroids are packed into a [`CentroidMatrix`] after every
+    /// update (k × d values, next to the n × k × d of one iteration); the
+    /// full scans and the final assignment run through its sweep.
     fn lloyd_bounded(&self, x: &ProjectedMatrix, mut centroids: Vec<Vec<f64>>) -> KMeansModel {
         let k = centroids.len();
         let d = x.n_cols;
+        let mut matrix = CentroidMatrix::from_rows(&centroids);
         let mut assignments = vec![0usize; x.n_rows];
         let mut lb = vec![0.0f64; x.n_rows]; // forces a full scan first time
         let mut movements = vec![0.0f64; k];
@@ -157,12 +168,12 @@ impl KMeans {
             let mut counts = vec![0usize; k];
             for (i, slot) in assignments.iter_mut().enumerate() {
                 let row = x.row(i);
-                let d_assigned = sq_dist(row, &centroids[*slot]);
+                let d_assigned = sq_dist(row, matrix.row(*slot));
                 let (c, dist) = if d_assigned.sqrt() < lb[i] {
                     bound_skips += 1;
                     (*slot, d_assigned)
                 } else {
-                    let (c, d1, d2) = nearest_two(row, &centroids);
+                    let (c, d1, d2) = matrix.nearest_two(row);
                     lb[i] = d2.sqrt() * LB_DEFLATE;
                     (c, d1)
                 };
@@ -174,6 +185,7 @@ impl KMeans {
                 }
             }
             apply_update(x, &assignments, &sums, &counts, &mut centroids, Some(&mut movements));
+            matrix = CentroidMatrix::from_rows(&centroids);
             // Decay the bounds: any other centroid can have approached a
             // point by at most the largest movement among centroids other
             // than the assigned one (conservatively: the global largest,
@@ -192,7 +204,8 @@ impl KMeans {
 
         falcc_telemetry::counters::LLOYD_ITERATIONS.add(iterations);
         falcc_telemetry::counters::LLOYD_BOUND_SKIPS.add(bound_skips);
-        finalize(x, centroids, assignments)
+        let sse = finalize(x, &mut assignments, |row| matrix.nearest_dist(row));
+        KMeansModel { centroids, assignments, sse }
     }
 }
 
@@ -242,19 +255,21 @@ fn apply_update(
     }
 }
 
-/// Final consistent assignment against the final centroids.
+/// Final consistent assignment against the final centroids, through
+/// `nearest` (the nearest centroid and its squared distance); returns
+/// the SSE, accumulated in row order.
 fn finalize(
     x: &ProjectedMatrix,
-    centroids: Vec<Vec<f64>>,
-    mut assignments: Vec<usize>,
-) -> KMeansModel {
+    assignments: &mut [usize],
+    nearest: impl Fn(&[f64]) -> (usize, f64),
+) -> f64 {
     let mut final_sse = 0.0;
     for (i, slot) in assignments.iter_mut().enumerate() {
-        let (c, dist) = nearest_centroid(x.row(i), &centroids);
+        let (c, dist) = nearest(x.row(i));
         *slot = c;
         final_sse += dist;
     }
-    KMeansModel { centroids, assignments, sse: final_sse }
+    final_sse
 }
 
 /// Largest and second-largest centroid movements, with the index of the
@@ -363,25 +378,6 @@ fn nearest_centroid(point: &[f64], centroids: &[Vec<f64>]) -> (usize, f64) {
         }
     }
     best
-}
-
-/// Full scan returning the strict argmin (same tie-break as
-/// [`nearest_centroid`]: lowest index wins) plus the runner-up distance,
-/// which seeds the Hamerly lower bound.
-#[inline]
-fn nearest_two(point: &[f64], centroids: &[Vec<f64>]) -> (usize, f64, f64) {
-    let mut best = (0usize, f64::INFINITY);
-    let mut second = f64::INFINITY;
-    for (c, centroid) in centroids.iter().enumerate() {
-        let d = sq_dist(point, centroid);
-        if d < best.1 {
-            second = best.1;
-            best = (c, d);
-        } else if d < second {
-            second = d;
-        }
-    }
-    (best.0, best.1, second)
 }
 
 #[cfg(test)]

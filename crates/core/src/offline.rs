@@ -790,28 +790,31 @@ mod tests {
         }
     }
 
-    /// Brute-force choice of a single region's combination: every
-    /// candidate scored with `loss` on every validation row, the
-    /// candidates within [`TIE_TOLERANCE`] of the best kept, and among
-    /// those the fewest distinct models winning, then the lowest loss,
-    /// then the first candidate. Also returns whether the near-tie rule
-    /// decided it, i.e. the choice is not the plain lowest-loss one.
+    /// Brute-force choice of a single region's combination over the
+    /// validation rows `members` (its assessment set): every candidate
+    /// scored with `loss` on those rows, the candidates within
+    /// [`TIE_TOLERANCE`] of the best kept, and among those the fewest
+    /// distinct models winning, then the lowest loss, then the first
+    /// candidate. Also returns whether the near-tie rule decided it, i.e.
+    /// the choice is not the plain lowest-loss one.
     fn single_region_oracle(
         pool: &ModelPool,
         validation: &Dataset,
+        members: &[usize],
         loss: &LossConfig,
     ) -> (Vec<usize>, bool) {
         let n_groups = validation.group_index().len();
         let candidates = enumerate_combinations(pool, n_groups);
         let preds: Vec<Vec<u8>> =
             pool.models.iter().map(|m| predict_dataset(m.model.as_ref(), validation)).collect();
-        let (y, g) = (validation.labels(), validation.groups());
+        let y: Vec<u8> = members.iter().map(|&i| validation.label(i)).collect();
+        let g: Vec<GroupId> = members.iter().map(|&i| validation.group(i)).collect();
         let losses: Vec<f64> = candidates
             .iter()
             .map(|combo| {
                 let z: Vec<u8> =
-                    (0..validation.len()).map(|i| preds[combo[g[i].index()]][i]).collect();
-                loss.evaluate(y, &z, g, n_groups)
+                    members.iter().zip(&g).map(|(&i, gi)| preds[combo[gi.index()]][i]).collect();
+                loss.evaluate(&y, &z, &g, n_groups)
             })
             .collect();
         let by_loss = |a: &usize, b: &usize| losses[*a].total_cmp(&losses[*b]);
@@ -840,8 +843,9 @@ mod tests {
                 cfg.loss.lambda = lambda;
                 let model = FalccModel::fit(&split.train, &split.validation, &cfg).unwrap();
                 assert_eq!(model.n_regions(), 1);
+                let every_row: Vec<usize> = (0..split.validation.len()).collect();
                 let (expected, near_tie) =
-                    single_region_oracle(model.pool(), &split.validation, &cfg.loss);
+                    single_region_oracle(model.pool(), &split.validation, &every_row, &cfg.loss);
                 assert_eq!(model.combo(0), expected, "seed {seed}, λ = {lambda}");
                 if (seed, lambda) == (10, 1.0) {
                     // A one-model combination within the tolerance of a
@@ -850,6 +854,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn accuracy_mode_gives_each_region_its_accuracy_optimal_combination() {
+        // λ = 1 with four regions: each region's combination is the
+        // brute-force accuracy-optimal one over its own assessment set,
+        // rebuilt as the fit builds it (the proxy's projection, a kd-tree,
+        // gap fill over the model's k-means), near ties going to the
+        // fewest distinct models. Seed 1 has two regions (1 and 3) whose
+        // choice the near-tie rule decides.
+        let mut near_tie_seen = false;
+        for seed in [1u64, 2, 3] {
+            let split = quick_split(600, seed);
+            let mut cfg = quick_config();
+            cfg.clustering = ClusterSpec::FixedK(4);
+            cfg.seed = seed;
+            cfg.loss.lambda = 1.0;
+            let model = FalccModel::fit(&split.train, &split.validation, &cfg).unwrap();
+            assert_eq!(model.n_regions(), 4);
+            let proxy = model.proxy_outcome();
+            let tree = KdTree::build(
+                split.validation.project(&proxy.attrs, proxy.weights.as_deref()),
+            );
+            let n_groups = split.validation.group_index().len();
+            let sets = gap_fill(model.kmeans(), &tree, &split.validation, n_groups, cfg.gap_fill_k);
+            for (c, members) in sets.iter().enumerate().filter(|(_, m)| !m.is_empty()) {
+                let (expected, near_tie) =
+                    single_region_oracle(model.pool(), &split.validation, members, &cfg.loss);
+                assert_eq!(model.combo(c), expected, "seed {seed}, region {c}");
+                near_tie_seen |= near_tie;
+            }
+        }
+        assert!(near_tie_seen, "no region is decided by the near-tie rule any more");
     }
 
     #[test]
