@@ -8,7 +8,9 @@ use falcc_metrics::FairnessMetric;
 /// The parsed subcommand with its options.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Fit a FALCC model from a CSV file and save it.
+    /// Fit a FALCC model from a CSV file and save it, optionally
+    /// journaling the fit (`--checkpoint-dir`) and writing the binary
+    /// serving artifact (`--emit-artifact`).
     Train(TrainArgs),
     /// Classify a CSV file with a saved model.
     Predict(PredictArgs),
@@ -22,11 +24,6 @@ pub enum Command {
     /// Self-contained end-to-end demo on synthetic data (fit + classify),
     /// mainly useful with `--profile`/`--trace-out`.
     Run(RunArgs),
-    /// Checkpointed offline fit on synthetic data: journals phase-granular
-    /// checkpoints and — with `--resume` — picks up after the last valid
-    /// one. The chaos harness re-execs this subcommand around every
-    /// `--crash-at` kill point.
-    Fit(FitArgs),
     /// Render a live-monitor stream (`falcc run --monitor-out …`) as a
     /// per-region drift & fairness report with threshold WARN lines.
     Monitor(MonitorArgs),
@@ -96,33 +93,6 @@ pub struct RunArgs {
     pub monitor_out: Option<String>,
 }
 
-/// `falcc fit` options.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FitArgs {
-    /// RNG seed for data generation and fitting.
-    pub seed: u64,
-    /// Synthetic dataset row count.
-    pub rows: usize,
-    /// Worker threads (0 = available parallelism). Pure throughput knob:
-    /// the fitted model is bit-identical for every value, including when
-    /// a resumed run uses a different count than the crashed one.
-    pub threads: usize,
-    /// Where the fitted model snapshot (JSON) is written.
-    pub out: String,
-    /// Checkpoint journal directory; `None` fits without journaling.
-    pub checkpoint_dir: Option<String>,
-    /// Resume from the journal's last valid checkpoint instead of wiping.
-    pub resume: bool,
-    /// Transient-I/O retry budget for journal writes.
-    pub retry_budget: u32,
-    /// Deterministic fault schedule from `--crash-at` / `--inject`.
-    pub faults: FaultPlan,
-    /// Also compile the fitted model and write it as a binary serving
-    /// artifact (`.falccb`) next to the JSON snapshot, so later serving
-    /// starts skip JSON parsing and recompilation.
-    pub emit_artifact: bool,
-}
-
 /// `falcc monitor` options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorArgs {
@@ -154,7 +124,22 @@ pub struct TrainArgs {
     pub val_split: f64,
     pub seed: u64,
     pub tune: bool,
+    /// Worker threads (0 = available parallelism). Pure throughput knob:
+    /// the fitted model is bit-identical for every value, including when
+    /// a resumed run uses a different count than the crashed one.
     pub threads: usize,
+    /// Checkpoint journal directory; `None` fits without journaling.
+    pub checkpoint_dir: Option<String>,
+    /// Resume from the journal's last valid checkpoint instead of wiping.
+    pub resume: bool,
+    /// Transient-I/O retry budget for journal writes.
+    pub retry_budget: u32,
+    /// Deterministic fault schedule from `--crash-at` / `--inject`.
+    pub faults: FaultPlan,
+    /// Also compile the fitted model and write it as a binary serving
+    /// artifact (`.falccb`) next to the JSON snapshot, so later serving
+    /// starts skip JSON parsing and recompilation.
+    pub emit_artifact: bool,
 }
 
 /// `falcc predict` options.
@@ -164,10 +149,6 @@ pub struct PredictArgs {
     pub data: String,
     pub out: Option<String>,
     pub threads: usize,
-    /// Ignore a sibling `.falccb` binary artifact and always restore +
-    /// recompile from the JSON snapshot (escape hatch; results are
-    /// bit-identical).
-    pub no_artifact: bool,
 }
 
 /// Shared `--model` + `--data` options.
@@ -213,7 +194,6 @@ pub fn parse(argv: &[String]) -> Result<Command, CliError> {
         "train" => parse_train(&argv[1..]),
         "predict" => parse_predict(&argv[1..]),
         "run" => parse_run(&argv[1..]),
-        "fit" => parse_fit(&argv[1..]),
         "monitor" => parse_monitor(&argv[1..]),
         "audit" => parse_model_data(&argv[1..]).map(Command::Audit),
         "info" => {
@@ -250,6 +230,11 @@ fn parse_train(args: &[String]) -> Result<Command, CliError> {
         seed: 42,
         tune: false,
         threads: 0,
+        checkpoint_dir: None,
+        resume: false,
+        retry_budget: 3,
+        faults: FaultPlan::default(),
+        emit_artifact: false,
     };
     let mut cur = Cursor { args, at: 0 };
     while cur.at < cur.args.len() {
@@ -301,6 +286,17 @@ fn parse_train(args: &[String]) -> Result<Command, CliError> {
             "--threads" => {
                 out.threads = parse_num(cur.next_value("--threads")?, "--threads")?
             }
+            "--checkpoint-dir" => {
+                out.checkpoint_dir = Some(cur.next_value("--checkpoint-dir")?.to_string())
+            }
+            "--resume" => out.resume = true,
+            "--retry-budget" => {
+                out.retry_budget =
+                    parse_num(cur.next_value("--retry-budget")?, "--retry-budget")?
+            }
+            "--crash-at" => parse_crash_at(&mut out.faults, cur.next_value("--crash-at")?)?,
+            "--inject" => parse_inject(&mut out.faults, cur.next_value("--inject")?)?,
+            "--emit-artifact" => out.emit_artifact = true,
             other => return Err(CliError::usage(format!("unknown flag {other}"))),
         }
     }
@@ -318,6 +314,11 @@ fn parse_train(args: &[String]) -> Result<Command, CliError> {
     }
     if !(out.val_split > 0.0 && out.val_split < 1.0) {
         return Err(CliError::usage("--val-split must be in (0, 1)"));
+    }
+    if out.checkpoint_dir.is_none() && (out.resume || out.faults.crash_point().is_some()) {
+        return Err(CliError::usage(
+            "--resume and --crash-at require --checkpoint-dir",
+        ));
     }
     Ok(Command::Train(out))
 }
@@ -351,70 +352,6 @@ fn parse_run(args: &[String]) -> Result<Command, CliError> {
         return Err(CliError::usage("--scale must be in (0, 1]"));
     }
     Ok(Command::Run(out))
-}
-
-fn parse_fit(args: &[String]) -> Result<Command, CliError> {
-    let mut out = FitArgs {
-        seed: 11,
-        rows: 600,
-        threads: 0,
-        out: String::new(),
-        checkpoint_dir: None,
-        resume: false,
-        retry_budget: 3,
-        faults: FaultPlan::default(),
-        emit_artifact: false,
-    };
-    let mut cur = Cursor { args, at: 0 };
-    while cur.at < cur.args.len() {
-        let flag = cur.args[cur.at].clone();
-        cur.at += 1;
-        match flag.as_str() {
-            "--seed" => out.seed = parse_num(cur.next_value("--seed")?, "--seed")?,
-            "--rows" => out.rows = parse_num(cur.next_value("--rows")?, "--rows")?,
-            "--threads" => {
-                out.threads = parse_num(cur.next_value("--threads")?, "--threads")?
-            }
-            "--out" => out.out = cur.next_value("--out")?.to_string(),
-            "--checkpoint-dir" => {
-                out.checkpoint_dir = Some(cur.next_value("--checkpoint-dir")?.to_string())
-            }
-            "--resume" => out.resume = true,
-            "--retry-budget" => {
-                out.retry_budget =
-                    parse_num(cur.next_value("--retry-budget")?, "--retry-budget")?
-            }
-            "--crash-at" => {
-                let spec = cur.next_value("--crash-at")?;
-                let bad = || {
-                    CliError::usage(format!(
-                        "invalid --crash-at {spec:?}; expected <ordinal>:<phase> with \
-                         phase one of before-write|after-record|mid-manifest|after-commit"
-                    ))
-                };
-                let (ord, phase) = spec.split_once(':').ok_or_else(bad)?;
-                out.faults.crash_at(
-                    ord.parse().map_err(|_| bad())?,
-                    CrashPhase::parse(phase).ok_or_else(bad)?,
-                );
-            }
-            "--inject" => parse_inject(&mut out.faults, cur.next_value("--inject")?)?,
-            "--emit-artifact" => out.emit_artifact = true,
-            other => return Err(CliError::usage(format!("unknown flag {other}"))),
-        }
-    }
-    if out.out.is_empty() {
-        return Err(CliError::usage("fit requires --out"));
-    }
-    if out.rows < 100 {
-        return Err(CliError::usage("--rows must be at least 100"));
-    }
-    if out.checkpoint_dir.is_none() && (out.resume || out.faults.crash_point().is_some()) {
-        return Err(CliError::usage(
-            "--resume and --crash-at require --checkpoint-dir",
-        ));
-    }
-    Ok(Command::Fit(out))
 }
 
 fn parse_monitor(args: &[String]) -> Result<Command, CliError> {
@@ -491,12 +428,24 @@ fn parse_inject(plan: &mut FaultPlan, spec: &str) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Arms the `--crash-at <ordinal>:<phase>` kill point in `plan`.
+fn parse_crash_at(plan: &mut FaultPlan, spec: &str) -> Result<(), CliError> {
+    let bad = || {
+        CliError::usage(format!(
+            "invalid --crash-at {spec:?}; expected <ordinal>:<phase> with \
+             phase one of before-write|after-record|mid-manifest|after-commit"
+        ))
+    };
+    let (ord, phase) = spec.split_once(':').ok_or_else(bad)?;
+    plan.crash_at(ord.parse().map_err(|_| bad())?, CrashPhase::parse(phase).ok_or_else(bad)?);
+    Ok(())
+}
+
 fn parse_predict(args: &[String]) -> Result<Command, CliError> {
     let mut model = None;
     let mut data = None;
     let mut out = None;
     let mut threads = 0;
-    let mut no_artifact = false;
     let mut cur = Cursor { args, at: 0 };
     while cur.at < cur.args.len() {
         let flag = cur.args[cur.at].clone();
@@ -506,7 +455,6 @@ fn parse_predict(args: &[String]) -> Result<Command, CliError> {
             "--data" => data = Some(cur.next_value("--data")?.to_string()),
             "--out" => out = Some(cur.next_value("--out")?.to_string()),
             "--threads" => threads = parse_num(cur.next_value("--threads")?, "--threads")?,
-            "--no-artifact" => no_artifact = true,
             other => return Err(CliError::usage(format!("unknown flag {other}"))),
         }
     }
@@ -515,7 +463,6 @@ fn parse_predict(args: &[String]) -> Result<Command, CliError> {
         data: data.ok_or_else(|| CliError::usage("predict requires --data"))?,
         out,
         threads,
-        no_artifact,
     }))
 }
 
@@ -629,15 +576,8 @@ mod tests {
                 data: "d.csv".into(),
                 out: None,
                 threads: 0,
-                no_artifact: false,
             })
         );
-        let cmd = parse(&v(&[
-            "predict", "--model", "m.json", "--data", "d.csv", "--no-artifact",
-        ]))
-        .unwrap();
-        let Command::Predict(p) = cmd else { panic!("expected predict") };
-        assert!(p.no_artifact);
         let cmd = parse(&v(&["audit", "--model", "m", "--data", "d"])).unwrap();
         assert!(matches!(cmd, Command::Audit(_)));
         let cmd = parse(&v(&["info", "--model", "m"])).unwrap();
@@ -745,54 +685,51 @@ mod tests {
     }
 
     #[test]
-    fn fit_defaults_and_flags() {
-        let cmd = parse(&v(&["fit", "--out", "m.json"])).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Fit(FitArgs {
-                seed: 11,
-                rows: 600,
-                threads: 0,
-                out: "m.json".into(),
-                checkpoint_dir: None,
-                resume: false,
-                retry_budget: 3,
-                faults: FaultPlan::default(),
-                emit_artifact: false,
-            })
-        );
+    fn train_journal_and_artifact_flags() {
+        let base = ["train", "--data", "d.csv", "--sensitive", "sens", "--out", "m.json"];
+        let Command::Train(t) = parse(&v(&base)).unwrap() else { panic!("expected train") };
+        assert_eq!(t.checkpoint_dir, None);
+        assert!(!t.resume && !t.emit_artifact);
+        assert_eq!(t.retry_budget, 3);
+        assert_eq!(t.faults, FaultPlan::default());
 
-        let cmd = parse(&v(&[
-            "fit", "--out", "m.json", "--checkpoint-dir", "ck", "--resume",
-            "--seed", "3", "--rows", "400", "--threads", "2", "--retry-budget", "5",
+        let mut argv = base.to_vec();
+        argv.extend([
+            "--checkpoint-dir", "ck", "--resume", "--threads", "2", "--retry-budget", "5",
             "--crash-at", "7:after-record", "--inject", "io:2", "--emit-artifact",
-        ]))
-        .unwrap();
-        let Command::Fit(f) = cmd else { panic!("expected fit") };
-        assert_eq!(f.checkpoint_dir.as_deref(), Some("ck"));
-        assert!(f.resume && f.emit_artifact);
-        assert_eq!((f.seed, f.rows, f.threads, f.retry_budget), (3, 400, 2, 5));
+        ]);
+        let Command::Train(t) = parse(&v(&argv)).unwrap() else { panic!("expected train") };
+        assert_eq!(t.checkpoint_dir.as_deref(), Some("ck"));
+        assert!(t.resume && t.emit_artifact);
+        assert_eq!((t.threads, t.retry_budget), (2, 5));
         let mut expected = FaultPlan::default();
         expected.crash_at(7, CrashPhase::AfterRecord).fail_io_attempt(2);
-        assert_eq!(f.faults, expected);
+        assert_eq!(t.faults, expected);
     }
 
     #[test]
-    fn fit_usage_errors() {
-        for bad in [
-            vec!["fit"],
+    fn train_journal_usage_errors() {
+        let base = ["train", "--data", "d", "--sensitive", "s", "--out", "m"];
+        for extra in [
             // --resume / --crash-at without a journal directory
-            vec!["fit", "--out", "m", "--resume"],
-            vec!["fit", "--out", "m", "--crash-at", "1:after-record"],
-            vec!["fit", "--out", "m", "--rows", "10"],
-            // malformed crash points
-            vec!["fit", "--out", "m", "--checkpoint-dir", "ck", "--crash-at", "1"],
-            vec!["fit", "--out", "m", "--checkpoint-dir", "ck", "--crash-at", "x:after-record"],
-            vec!["fit", "--out", "m", "--checkpoint-dir", "ck", "--crash-at", "1:nope"],
+            vec!["--resume"],
+            vec!["--crash-at", "1:after-record"],
+            // malformed crash points and retry budgets
+            vec!["--checkpoint-dir", "ck", "--crash-at", "1"],
+            vec!["--checkpoint-dir", "ck", "--crash-at", "x:after-record"],
+            vec!["--checkpoint-dir", "ck", "--crash-at", "1:nope"],
+            vec!["--checkpoint-dir", "ck", "--retry-budget", "-1"],
+            // the removed `--rows` of the old synthetic fit
+            vec!["--rows", "400"],
         ] {
-            let err = parse(&v(&bad)).unwrap_err();
-            assert_eq!(err.exit_code, 2, "{bad:?}");
+            let argv = [&base[..], &extra[..]].concat();
+            let err = parse(&v(&argv)).unwrap_err();
+            assert_eq!(err.exit_code, 2, "{extra:?}");
         }
+        let err = parse(&v(&[&base[..], &["--resume"]].concat())).unwrap_err();
+        assert!(err.message.contains("require --checkpoint-dir"), "{}", err.message);
+        let err = parse(&v(&["fit", "--out", "m.json"])).unwrap_err();
+        assert!(err.message.contains("unknown subcommand"), "{}", err.message);
     }
 
     #[test]

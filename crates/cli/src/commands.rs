@@ -1,15 +1,13 @@
 //! Implementation of the CLI subcommands. Each returns its stdout text so
 //! the whole flow is unit-testable in-process.
 
-use crate::args::{
-    Command, FitArgs, ModelDataArgs, MonitorArgs, PredictArgs, RunArgs, TrainArgs,
-};
+use crate::args::{Command, ModelDataArgs, MonitorArgs, PredictArgs, RunArgs, TrainArgs};
 use crate::{CliError, USAGE};
 use falcc::{
     auto_tune, sibling_artifact_path, CheckpointSpec, CompiledModel, CompiledModelBuf,
     FairClassifier, FalccConfig, FalccError, FalccModel, SavedFalccModel,
 };
-use falcc_dataset::{csv, Dataset, SplitRatios, ThreeWaySplit};
+use falcc_dataset::{csv, split, Dataset, SplitRatios, ThreeWaySplit};
 use falcc_metrics::individual::consistency;
 use falcc_metrics::{accuracy, FairnessMetric, LossConfig};
 use std::fmt::Write as _;
@@ -26,7 +24,6 @@ pub fn execute(command: Command) -> Result<String, CliError> {
         Command::Audit(args) => audit(args),
         Command::Info { model } => info(&model),
         Command::Run(args) => run_demo(args),
-        Command::Fit(args) => fit(args),
         Command::Monitor(args) => monitor_report(&args),
     }
 }
@@ -144,80 +141,6 @@ fn run_demo(args: RunArgs) -> Result<String, CliError> {
                 "injected faults were active (add --profile for degradation counters)"
             );
         }
-    }
-    Ok(out)
-}
-
-/// `falcc fit`: the checkpointed offline phase on a synthetic benchmark
-/// dataset. With `--checkpoint-dir` the fit journals phase-granular
-/// checkpoints; `--resume` picks up after the last valid one and must
-/// write a model snapshot byte-identical to an uninterrupted run. The
-/// chaos harness drives this subcommand, hard-killing it at `--crash-at`
-/// and asserting exactly that equality.
-fn fit(args: FitArgs) -> Result<String, CliError> {
-    use falcc_dataset::synthetic::{generate, SyntheticConfig};
-
-    let mut dcfg = SyntheticConfig::social(0.30);
-    dcfg.n = args.rows;
-    let data = generate(&dcfg, args.seed)
-        .map_err(|e| CliError::runtime(format!("generating data: {e}")))?;
-    let split = ThreeWaySplit::split(&data, SplitRatios::PAPER, args.seed)
-        .map_err(|e| CliError::runtime(format!("splitting data: {e}")))?;
-
-    let mut config = FalccConfig {
-        proxy: falcc::ProxyStrategy::PAPER_REMOVE,
-        seed: args.seed,
-        threads: args.threads,
-        faults: args.faults,
-        ..FalccConfig::default()
-    };
-    // The small fixed profile (4 regions, 3-model pool) keeps the journal's
-    // commit count predictable — the kill-point catalog the chaos harness
-    // sweeps is derived from it — and keeps the sweep fast.
-    config.scale_for_tests();
-    if let Some(dir) = &args.checkpoint_dir {
-        let mut spec = CheckpointSpec::new(dir);
-        spec.resume = args.resume;
-        spec.retry_budget = args.retry_budget;
-        config.checkpoint = Some(spec);
-    }
-
-    falcc_telemetry::progress(match (&args.checkpoint_dir, args.resume) {
-        (None, _) => "fitting FALCC (offline phase, no journal)",
-        (Some(_), false) => "fitting FALCC (offline phase, fresh checkpoint journal)",
-        (Some(_), true) => "fitting FALCC (offline phase, resuming from journal)",
-    });
-    let model = FalccModel::fit(&split.train, &split.validation, &config)
-        .map_err(|e| CliError::runtime(format!("fitting FALCC: {e}")))?;
-    SavedFalccModel::capture(&model)
-        .and_then(|saved| saved.save_file(&args.out))
-        .map_err(|e| CliError::runtime(format!("saving model: {e}")))?;
-    let artifact_path = args.emit_artifact
-        .then(|| emit_artifact(&args.out))
-        .transpose()?;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "fitted on {} train / {} validation rows: pool of {} models, {} local regions",
-        split.train.len(),
-        split.validation.len(),
-        model.pool().len(),
-        model.n_regions()
-    );
-    if args.checkpoint_dir.is_some() && falcc_telemetry::enabled() {
-        let _ = writeln!(
-            out,
-            "checkpoints: {} written, {} resumed, {} discarded; {} transient retries",
-            falcc_telemetry::counters::CHECKPOINTS_WRITTEN.get(),
-            falcc_telemetry::counters::CHECKPOINTS_RESUMED.get(),
-            falcc_telemetry::counters::CHECKPOINTS_DISCARDED.get(),
-            falcc_telemetry::counters::OFFLINE_RETRIES.get(),
-        );
-    }
-    let _ = writeln!(out, "model written to {}", args.out);
-    if let Some(path) = artifact_path {
-        let _ = writeln!(out, "artifact written to {path}");
     }
     Ok(out)
 }
@@ -543,19 +466,20 @@ fn load_model(path: &str) -> Result<FalccModel, CliError> {
         .restore())
 }
 
+/// `falcc train`: fits FALCC on a CSV file and saves the model snapshot.
+/// With `--checkpoint-dir` the fit journals phase-granular checkpoints;
+/// `--resume` picks up after the last valid one and writes a snapshot
+/// byte-identical to an uninterrupted run. The chaos harness drives this
+/// subcommand, hard-killing it at `--crash-at` and asserting exactly that
+/// equality.
 fn train(args: TrainArgs) -> Result<String, CliError> {
     let sensitive: Vec<(&str, Vec<f64>)> =
         args.sensitive.iter().map(|s| (s.as_str(), vec![0.0, 1.0])).collect();
     let data = load_dataset(&args.data, &sensitive)?;
 
-    // Internal train/validation split (no test needed — the caller keeps
+    // Internal train/validation split (no test part — the caller keeps
     // their own held-out data for `audit`).
-    let ratios = SplitRatios {
-        train: 1.0 - args.val_split,
-        validation: args.val_split * 0.999,
-        test: args.val_split * 0.001,
-    };
-    let split = ThreeWaySplit::split(&data, ratios, args.seed)
+    let (train, validation) = split::train_validation(&data, 1.0 - args.val_split, args.seed)
         .map_err(|e| CliError::runtime(format!("splitting data: {e}")))?;
 
     let mut config = FalccConfig {
@@ -564,13 +488,19 @@ fn train(args: TrainArgs) -> Result<String, CliError> {
         clustering: args.clusters,
         seed: args.seed,
         threads: args.threads,
+        faults: args.faults,
         ..FalccConfig::default()
     };
     config.pool.seed = args.seed;
 
     let mut out = String::new();
     if args.tune {
-        let report = auto_tune(&split.train, &split.validation, &config)
+        // The trials fit on a slice of the validation data, so they run
+        // without the journal: a journaled trial would wipe it, and under
+        // --resume would be refused as a different run. Only the final fit
+        // below journals, and a resumed run repeats the deterministic
+        // search before resuming it.
+        let report = auto_tune(&train, &validation, &config)
             .map_err(|e| CliError::runtime(format!("auto-tuning: {e}")))?;
         let _ = writeln!(
             out,
@@ -581,23 +511,43 @@ fn train(args: TrainArgs) -> Result<String, CliError> {
         );
         config = report.chosen;
     }
+    config.checkpoint = args.checkpoint_dir.as_ref().map(|dir| {
+        let mut spec = CheckpointSpec::new(dir);
+        spec.resume = args.resume;
+        spec.retry_budget = args.retry_budget;
+        spec
+    });
 
-    let model = FalccModel::fit(&split.train, &split.validation, &config)
+    let model = FalccModel::fit(&train, &validation, &config)
         .map_err(|e| CliError::runtime(format!("fitting FALCC: {e}")))?;
     SavedFalccModel::capture(&model)
         .and_then(|saved| saved.save_file(&args.out))
         .map_err(|e| CliError::runtime(format!("saving model: {e}")))?;
+    let artifact_path = args.emit_artifact.then(|| emit_artifact(&args.out)).transpose()?;
 
     let _ = writeln!(
         out,
         "trained FALCC on {} rows ({} train / {} validation): pool of {} models, {} local regions",
         data.len(),
-        split.train.len(),
-        split.validation.len(),
+        train.len(),
+        validation.len(),
         model.pool().len(),
         model.n_regions()
     );
+    if config.checkpoint.is_some() && falcc_telemetry::enabled() {
+        let _ = writeln!(
+            out,
+            "checkpoints: {} written, {} resumed, {} discarded; {} transient retries",
+            falcc_telemetry::counters::CHECKPOINTS_WRITTEN.get(),
+            falcc_telemetry::counters::CHECKPOINTS_RESUMED.get(),
+            falcc_telemetry::counters::CHECKPOINTS_DISCARDED.get(),
+            falcc_telemetry::counters::OFFLINE_RETRIES.get(),
+        );
+    }
     let _ = writeln!(out, "model written to {}", args.out);
+    if let Some(path) = artifact_path {
+        let _ = writeln!(out, "artifact written to {path}");
+    }
     Ok(out)
 }
 
@@ -606,8 +556,7 @@ fn predict(args: PredictArgs) -> Result<String, CliError> {
     // JSON parsing or recompilation. Anything wrong with it — corrupt,
     // version skew, stale fingerprint — falls back to the JSON path with
     // the reason surfaced as progress and counted in telemetry.
-    let artifact = if args.no_artifact { None } else { load_artifact_for(&args.model) };
-    let mut compiled = match artifact {
+    let mut compiled = match load_artifact_for(&args.model) {
         Some(Ok(compiled)) => compiled,
         _ => load_model(&args.model)?.compile(),
     };
@@ -798,61 +747,54 @@ mod tests {
         path.to_string_lossy().into_owned()
     }
 
-    /// Dumps a dataset back to CSV in its schema's column order, so a
-    /// `fit`-produced (synthetic-schema) model can be served via
-    /// `predict` in-process.
-    fn dump_csv(ds: &falcc_dataset::Dataset, path: &std::path::Path) -> String {
-        use std::fmt::Write as _;
-        let schema = ds.schema();
-        let mut text = String::new();
-        for j in 0..schema.n_attrs() {
-            let _ = write!(text, "{},", schema.attr_name(j));
-        }
-        text.push_str("label\n");
-        for i in 0..ds.len() {
-            for v in ds.row(i) {
-                let _ = write!(text, "{v},");
-            }
-            let _ = writeln!(text, "{}", ds.labels()[i]);
-        }
+    /// Writes `n` synthetic social30 rows drawn with `seed` as CSV (its
+    /// sensitive column is `sens`) and returns its path.
+    fn social_csv(path: &std::path::Path, n: usize, seed: u64) -> String {
+        use falcc_dataset::synthetic::{generate, SyntheticConfig};
+        let mut cfg = SyntheticConfig::social(0.30);
+        cfg.n = n;
+        let mut text = Vec::new();
+        falcc_dataset::csv::write_csv(&generate(&cfg, seed).unwrap(), &mut text).unwrap();
         std::fs::write(path, text).unwrap();
         path.to_string_lossy().into_owned()
     }
 
     #[test]
-    fn fit_emits_artifact_and_predict_prefers_it_with_typed_fallback() {
-        use falcc_dataset::synthetic::{generate, SyntheticConfig};
-
+    fn train_emits_artifact_and_predict_prefers_it_with_typed_fallback() {
         let dir = std::env::temp_dir().join("falcc_cli_artifact_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::create_dir_all(dir.join("json_only")).unwrap();
         let model_path = dir.join("model.json").to_string_lossy().into_owned();
         let artifact_path = dir.join("model.falccb");
+        let train_csv = social_csv(&dir.join("train.csv"), 400, 9);
+        // Serve rows drawn from the same synthetic family (fresh seed).
+        let data_csv = social_csv(&dir.join("data.csv"), 150, 33);
+        let train = |seed: &str, extra: &[&str]| {
+            let base = [
+                "train", "--data", &train_csv, "--sensitive", "sens", "--clusters", "4",
+                "--proxy", "remove", "--out", &model_path, "--seed", seed,
+            ];
+            crate::run(&v(&[&base[..], extra].concat())).unwrap()
+        };
+        let predict = |model: &str| {
+            crate::run(&v(&["predict", "--model", model, "--data", &data_csv])).unwrap()
+        };
+        // A copy of the snapshot with no sibling artifact serves through
+        // the JSON path.
+        let via_json = || {
+            let copy = dir.join("json_only").join("model.json");
+            std::fs::copy(&model_path, &copy).unwrap();
+            predict(&copy.to_string_lossy())
+        };
 
-        let out = crate::run(&v(&[
-            "fit", "--rows", "400", "--seed", "9", "--out", &model_path,
-            "--emit-artifact",
-        ]))
-        .unwrap();
+        let out = train("9", &["--emit-artifact"]);
         assert!(out.contains("model written to"), "{out}");
         assert!(out.contains("artifact written to"), "{out}");
         assert!(artifact_path.exists());
 
-        // Serve rows drawn from the same synthetic family (fresh seed).
-        let mut dcfg = SyntheticConfig::social(0.30);
-        dcfg.n = 150;
-        let ds = generate(&dcfg, 33).unwrap();
-        let data_csv = dump_csv(&ds, &dir.join("data.csv"));
-
-        let via_artifact = crate::run(&v(&[
-            "predict", "--model", &model_path, "--data", &data_csv,
-        ]))
-        .unwrap();
-        let via_json = crate::run(&v(&[
-            "predict", "--model", &model_path, "--data", &data_csv, "--no-artifact",
-        ]))
-        .unwrap();
+        let via_artifact = predict(&model_path);
+        let json = via_json();
         assert_eq!(via_artifact.lines().count(), 151);
-        assert_eq!(via_artifact, via_json, "artifact and JSON paths must agree");
+        assert_eq!(via_artifact, json, "artifact and JSON paths must agree");
         let served = load_artifact_for(&model_path);
         assert!(matches!(served, Some(Ok(_))), "fresh artifact serves");
 
@@ -862,11 +804,7 @@ mod tests {
         let mid = damaged.len() / 2;
         damaged[mid] ^= 0xff;
         std::fs::write(&artifact_path, &damaged).unwrap();
-        let after_damage = crate::run(&v(&[
-            "predict", "--model", &model_path, "--data", &data_csv,
-        ]))
-        .unwrap();
-        assert_eq!(after_damage, via_json);
+        assert_eq!(predict(&model_path), json);
         let rejected = load_artifact_for(&model_path);
         assert!(
             matches!(rejected, Some(Err(FalccError::ArtifactCorrupt { .. }))),
@@ -876,25 +814,40 @@ mod tests {
 
         // A stale artifact (snapshot refitted underneath it) also degrades.
         std::fs::write(&artifact_path, &pristine).unwrap();
-        crate::run(&v(&[
-            "fit", "--rows", "400", "--seed", "10", "--out", &model_path,
-        ]))
-        .unwrap();
-        let stale = crate::run(&v(&[
-            "predict", "--model", &model_path, "--data", &data_csv,
-        ]))
-        .unwrap();
-        let fresh_json = crate::run(&v(&[
-            "predict", "--model", &model_path, "--data", &data_csv, "--no-artifact",
-        ]))
-        .unwrap();
-        assert_eq!(stale, fresh_json, "stale artifact must serve the new snapshot");
+        train("10", &[]);
+        let stale = predict(&model_path);
+        assert_eq!(stale, via_json(), "stale artifact must serve the new snapshot");
         let rejected = load_artifact_for(&model_path);
         assert!(
             matches!(rejected, Some(Err(FalccError::ArtifactStale { .. }))),
             "refitted snapshot must reject its old artifact as stale: {:?}",
             rejected.map(|r| r.err())
         );
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn tuned_train_resumes_its_journal_byte_identically() {
+        let dir = std::env::temp_dir().join("falcc_cli_tune_resume_test");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let train_csv = write_csv(&dir.join("train.csv"), 600, 1);
+        let ck = dir.join("ck").to_string_lossy().into_owned();
+        let train = |out: &str, extra: &[&str]| {
+            let out = dir.join(out).to_string_lossy().into_owned();
+            let base = [
+                "train", "--data", &train_csv, "--sensitive", "sex", "--out", &out,
+                "--seed", "5", "--tune", "--checkpoint-dir", &ck,
+            ];
+            crate::run(&v(&[&base[..], extra].concat())).unwrap();
+            std::fs::read(&out).unwrap()
+        };
+        // The resumed run repeats the tuning search, unjournaled, and then
+        // resumes the final fit's journal.
+        let fresh = train("fresh.json", &[]);
+        let resumed = train("resumed.json", &["--resume"]);
+        assert!(fresh == resumed, "resumed tuned fit must write the same snapshot");
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -912,7 +865,8 @@ mod tests {
             "--clusters", "3", "--seed", "5",
         ]))
         .unwrap();
-        assert!(out.contains("trained FALCC"), "{out}");
+        // Every input row is either a train or a validation row.
+        assert!(out.contains("trained FALCC on 600 rows (360 train / 240 validation)"), "{out}");
         assert!(std::path::Path::new(&model_path).exists());
 
         let preds = crate::run(&v(&[
@@ -982,12 +936,9 @@ mod tests {
             .chain(model.predict_dataset(&data).iter().map(|z| z.to_string()))
             .map(|line| line + "\n")
             .collect();
-        let predict = |csv: &str, extra: &[&str]| {
-            let mut argv = vec!["predict", "--model", &model_path, "--data", csv];
-            argv.extend_from_slice(extra);
-            crate::run(&v(&argv))
-        };
-        assert_eq!(predict(&test_csv, &["--no-artifact"]).unwrap(), expected);
+        let predict =
+            |csv: &str| crate::run(&v(&["predict", "--model", &model_path, "--data", csv]));
+        assert_eq!(predict(&test_csv).unwrap(), expected);
 
         // `write_csv` columns: 0 = sex, 1 = f0, 2 = f1, 3 = label.
         let reshaped = [
@@ -1014,7 +965,7 @@ mod tests {
             );
         };
         for (what, found, csv) in &reshaped {
-            assert_refused(what, found, predict(csv, &["--no-artifact"]));
+            assert_refused(what, found, predict(csv));
             let audit = crate::run(&v(&["audit", "--model", &model_path, "--data", csv]));
             assert_refused(what, found, audit);
         }
@@ -1022,9 +973,9 @@ mod tests {
         // The artifact path checks the same columns.
         emit_artifact(&model_path).unwrap();
         assert!(matches!(load_artifact_for(&model_path), Some(Ok(_))));
-        assert_eq!(predict(&test_csv, &[]).unwrap(), expected);
+        assert_eq!(predict(&test_csv).unwrap(), expected);
         for (what, found, csv) in &reshaped {
-            assert_refused(what, found, predict(csv, &[]));
+            assert_refused(what, found, predict(csv));
         }
 
         std::fs::remove_dir_all(&dir).ok();

@@ -93,16 +93,13 @@ USAGE:
                 [--metric dp|eq_od|eq_op|tr_eq] [--lambda <0..1>]
                 [--proxy none|reweigh|remove] [--clusters auto|elbow|<k>]
                 [--val-split <0..1>] [--seed <u64>] [--tune] [--threads <n>]
+                [--checkpoint-dir <dir>] [--resume] [--retry-budget <n>]
+                [--crash-at <ordinal>:<phase>] [--inject <spec>] [--emit-artifact]
   falcc predict --model <model.json> --data <csv> [--out <csv>] [--threads <n>]
-                [--no-artifact]
   falcc audit   --model <model.json> --data <csv>
   falcc info    --model <model.json>
   falcc run     [--seed <u64>] [--scale <0..1>] [--threads <n>]
                 [--inject <spec>] [--monitor-out <jsonl>]
-  falcc fit     --out <model.json> [--checkpoint-dir <dir>] [--resume]
-                [--emit-artifact] [--seed <u64>] [--rows <n>] [--threads <n>]
-                [--retry-budget <n>] [--crash-at <ordinal>:<phase>]
-                [--inject <spec>]
   falcc monitor --input <jsonl> [--warn-dp <gap>] [--warn-skew <score>]
                 [--warn-shift <tv>] [--warn-reject <rate>] [--exposition]
 
@@ -115,21 +112,28 @@ GLOBAL FLAGS (any subcommand):
 no input files needed; combine with --profile / --trace-out to inspect the
 pipeline, e.g. `falcc run --profile --trace-out trace.jsonl`.
 
---inject arms the deterministic fault harness for the demo run: a comma-
-separated list of pool:<i> (quarantine pool member i), trial:<i> (fail
-tuning trial i), cluster:<c> (empty region c), drop:<c>/<g> (remove group
-g from region c), row:<i> (poison online batch row i), io:<a> (fail
-checkpoint-journal I/O attempt a, absorbed by the bounded retry layer) —
-e.g. `falcc run --inject pool:1,cluster:0 --profile` shows graceful
-degradation plus its counters.
+--inject arms the deterministic fault harness: a comma-separated list of
+pool:<i> (quarantine pool member i), trial:<i> (fail tuning trial i),
+cluster:<c> (empty region c), drop:<c>/<g> (remove group g from region
+c), row:<i> (poison online batch row i), io:<a> (fail checkpoint-journal
+I/O attempt a, absorbed by the bounded retry layer) — e.g. `falcc run
+--inject pool:1,cluster:0 --profile` shows graceful degradation plus its
+counters. Under train, io: items fire only with --checkpoint-dir and
+trial: items only with --tune; row: items fire only in run, which serves
+rows.
 
-`falcc fit` is the crash-recovery workbench: it fits the offline phase on
-synthetic data and, with --checkpoint-dir, journals phase-granular
+train fits on a seeded shuffle of the CSV: the --val-split share of the
+rows is the validation set, every other row trains the pool. With
+--checkpoint-dir it journals the offline fit in phase-granular
 checkpoints (atomic records + a chained, fingerprinted manifest). After a
 crash — or a hard kill injected via --crash-at <ordinal>:<phase>, phase
 one of before-write|after-record|mid-manifest|after-commit — re-running
-with --resume picks up after the last valid checkpoint and writes a model
-snapshot byte-identical to an uninterrupted run, at any --threads value.
+the same command with --resume picks up after the last valid checkpoint
+and writes a model snapshot byte-identical to an uninterrupted run, at
+any --threads value. --retry-budget (default 3) bounds the retries of a
+transient journal I/O failure. With --tune only the final fit is
+journaled: the tuning trials run without it, and a resumed run repeats
+the deterministic search before resuming the fit.
 
 CSV format: header row, numeric cells, binary label in the last column.
 Sensitive columns must be 0/1-coded. predict and audit require the
@@ -145,14 +149,14 @@ predict, audit and run classify through the compiled serving plane
 serves labels bit-identical to the fitted model's plain reference
 online phase.
 
-`fit --emit-artifact` additionally compiles the snapshot and writes the
-serving plane as a binary artifact next to the JSON (same path, .falccb
-extension). predict prefers a sibling .falccb when its recorded
+`train --emit-artifact` additionally compiles the snapshot and writes
+the serving plane as a binary artifact next to the JSON (same path,
+.falccb extension). predict prefers a sibling .falccb when its recorded
 fingerprint matches the JSON snapshot on disk, skipping parse, restore
 and compile for a millisecond cold start; a stale, corrupt or truncated
 artifact is rejected with a typed error and predict silently falls back
 to the JSON path (counted in serve.artifact_fallbacks). Predictions are
-bit-identical either way. --no-artifact forces the JSON path.
+bit-identical either way.
 
 --monitor-out installs the live serving monitors around the run's
 classification pass and writes the windowed fairness/drift stream as

@@ -1,6 +1,7 @@
-//! Kill-point chaos harness: re-execs the `falcc` binary, hard-kills it
-//! at every crash point of the checkpoint journal, resumes, and asserts
-//! the resumed model snapshot is byte-identical to an uninterrupted run.
+//! Kill-point chaos harness: re-execs `falcc train` on a CSV fixture,
+//! hard-kills it at every crash point of the checkpoint journal, resumes,
+//! and asserts the resumed model snapshot is byte-identical to an
+//! uninterrupted run.
 //!
 //! The sweep covers the full [`CrashPoint::catalog`]: every checkpoint
 //! commit ordinal crossed with every [`CrashPhase`] (before the record
@@ -11,20 +12,19 @@
 //! thread, so the sweep re-proves the determinism contract too.
 
 use falcc::CrashPoint;
+use falcc_dataset::csv::write_csv;
+use falcc_dataset::synthetic::{generate, SyntheticConfig};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-/// Checkpoint commits `falcc fit` performs with its fixed test-scale
-/// profile (8 pool members + pool training + proxy + projection +
+/// Checkpoint commits `train` performs on the fixture with 4 regions (8
+/// AdaBoost grid slots + pool training + proxy + projection +
 /// k-estimation + clustering + gap fill + 4 regions + assessment). The
-/// sweep asserts this against the journal, so a pipeline change that
-/// shifts the commit count fails loudly instead of silently shrinking
-/// the kill-point catalog.
+/// pool commits once per grid slot, never per kept member, so the count
+/// does not depend on the pool size. The sweep asserts this against the
+/// journal, so a pipeline change that shifts the commit count fails
+/// loudly instead of silently shrinking the kill-point catalog.
 const COMMITS: u64 = 19;
-
-/// Synthetic dataset size for every run in this suite — small keeps the
-/// 2 × catalog process spawns fast, large enough for 4 stable regions.
-const ROWS: &str = "400";
 
 fn falcc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_falcc"))
@@ -51,21 +51,37 @@ fn path_str(p: &Path) -> &str {
     p.to_str().expect("utf-8 path")
 }
 
+/// A fresh directory holding the CSV fixture every run in this suite
+/// fits: 400 synthetic social30 rows (seed 11) — small keeps the
+/// 2 × catalog process spawns fast, large enough for 4 stable regions.
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("falcc_chaos").join(name);
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("mkdir");
+    let mut cfg = SyntheticConfig::social(0.30);
+    cfg.n = 400;
+    let mut text = Vec::new();
+    write_csv(&generate(&cfg, 11).expect("generate fixture"), &mut text).expect("fixture csv");
+    std::fs::write(dir.join("data.csv"), text).expect("write fixture");
     dir
+}
+
+/// `falcc train` on the fixture in `dir` with 4 regions and proxy
+/// removal, writing the snapshot to `out`; `extra` adds flags.
+fn train(dir: &Path, out: &Path, extra: &[&str]) -> Output {
+    let data = dir.join("data.csv");
+    let base = [
+        "train", "--data", path_str(&data), "--sensitive", "sens", "--clusters", "4",
+        "--proxy", "remove", "--out", path_str(out), "--quiet",
+    ];
+    falcc(&[&base[..], extra].concat())
 }
 
 /// The uninterrupted single-threaded reference snapshot all resumed runs
 /// must reproduce byte for byte.
 fn reference_snapshot(dir: &Path) -> Vec<u8> {
     let out = dir.join("reference.json");
-    let run = falcc(&[
-        "fit", "--out", path_str(&out), "--rows", ROWS, "--threads", "1", "--quiet",
-    ]);
-    assert_ok(&run, "reference fit");
+    assert_ok(&train(dir, &out, &["--threads", "1"]), "reference fit");
     std::fs::read(&out).expect("read reference snapshot")
 }
 
@@ -79,10 +95,8 @@ fn kill_point_sweep_resumes_bit_identically() {
     // is derived from (and must itself match the journal-less reference).
     let full_out = dir.join("full.json");
     let full_ck = dir.join("ck_full");
-    let run = falcc(&[
-        "fit", "--out", path_str(&full_out), "--checkpoint-dir", path_str(&full_ck),
-        "--rows", ROWS, "--threads", &threads, "--quiet",
-    ]);
+    let journal = ["--checkpoint-dir", path_str(&full_ck), "--threads", &threads];
+    let run = train(&dir, &full_out, &journal);
     assert_ok(&run, "uninterrupted journaled fit");
     assert_eq!(
         std::fs::read(&full_out).expect("read"),
@@ -103,10 +117,8 @@ fn kill_point_sweep_resumes_bit_identically() {
         let out = dir.join(format!("model_{tag}.json"));
         let crash_at = format!("{}:{}", point.ordinal, point.phase.name());
 
-        let crashed = falcc(&[
-            "fit", "--out", path_str(&out), "--checkpoint-dir", path_str(&ck),
-            "--rows", ROWS, "--threads", &threads, "--quiet", "--crash-at", &crash_at,
-        ]);
+        let journal = ["--checkpoint-dir", path_str(&ck), "--threads", &threads];
+        let crashed = train(&dir, &out, &[&journal[..], &["--crash-at", &crash_at]].concat());
         assert!(
             !crashed.status.success(),
             "crash point {crash_at}: the armed kill must abort the process"
@@ -116,10 +128,7 @@ fn kill_point_sweep_resumes_bit_identically() {
             "crash point {crash_at}: no model snapshot may appear from a killed run"
         );
 
-        let resumed = falcc(&[
-            "fit", "--out", path_str(&out), "--checkpoint-dir", path_str(&ck),
-            "--rows", ROWS, "--threads", &threads, "--quiet", "--resume",
-        ]);
+        let resumed = train(&dir, &out, &[&journal[..], &["--resume"]].concat());
         assert_ok(&resumed, &format!("resume after crash at {crash_at}"));
         assert_eq!(
             std::fs::read(&out).expect("read resumed snapshot"),
@@ -140,9 +149,8 @@ fn transient_io_faults_are_retried_and_exhaustion_is_a_clean_failure() {
     // model unchanged.
     let out = dir.join("retried.json");
     let ck = dir.join("ck_retried");
-    let run = falcc(&[
-        "fit", "--out", path_str(&out), "--checkpoint-dir", path_str(&ck),
-        "--rows", ROWS, "--threads", "1", "--quiet", "--inject", "io:0,io:3,io:7",
+    let run = train(&dir, &out, &[
+        "--checkpoint-dir", path_str(&ck), "--threads", "1", "--inject", "io:0,io:3,io:7",
     ]);
     assert_ok(&run, "fit with scattered transient I/O faults");
     assert_eq!(
@@ -155,10 +163,9 @@ fn transient_io_faults_are_retried_and_exhaustion_is_a_clean_failure() {
     // a typed runtime error (exit 1), not a panic or partial snapshot.
     let out = dir.join("exhausted.json");
     let ck = dir.join("ck_exhausted");
-    let run = falcc(&[
-        "fit", "--out", path_str(&out), "--checkpoint-dir", path_str(&ck),
-        "--rows", ROWS, "--threads", "1", "--quiet", "--inject", "io:0,io:1,io:2,io:3",
-    ]);
+    let burst =
+        ["--checkpoint-dir", path_str(&ck), "--threads", "1", "--inject", "io:0,io:1,io:2,io:3"];
+    let run = train(&dir, &out, &burst);
     assert_eq!(run.status.code(), Some(1), "retry exhaustion is a runtime failure");
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert!(
@@ -168,11 +175,7 @@ fn transient_io_faults_are_retried_and_exhaustion_is_a_clean_failure() {
     assert!(!out.exists(), "no model snapshot after an exhausted fit");
 
     // A raised budget absorbs the same burst.
-    let run = falcc(&[
-        "fit", "--out", path_str(&out), "--checkpoint-dir", path_str(&ck),
-        "--rows", ROWS, "--threads", "1", "--quiet", "--retry-budget", "6",
-        "--inject", "io:0,io:1,io:2,io:3",
-    ]);
+    let run = train(&dir, &out, &[&burst[..], &["--retry-budget", "6"]].concat());
     assert_ok(&run, "fit with raised retry budget");
     assert_eq!(std::fs::read(&out).expect("read"), reference);
 
@@ -184,28 +187,20 @@ fn resume_rejects_a_stale_generation_journal() {
     let dir = fresh_dir("stale");
     let ck = dir.join("ck");
     let out = dir.join("model.json");
-    let run = falcc(&[
-        "fit", "--out", path_str(&out), "--checkpoint-dir", path_str(&ck),
-        "--rows", ROWS, "--threads", "1", "--quiet", "--seed", "11",
-    ]);
+    let journal = ["--checkpoint-dir", path_str(&ck), "--threads", "1"];
+    let run = train(&dir, &out, &[&journal[..], &["--seed", "11"]].concat());
     assert_ok(&run, "seed-11 journaled fit");
 
     // Same journal, different run config: every manifest entry carries a
     // foreign fingerprint, so resuming must fail typed instead of reviving
     // checkpoints from another run.
-    let run = falcc(&[
-        "fit", "--out", path_str(&out), "--checkpoint-dir", path_str(&ck),
-        "--rows", ROWS, "--threads", "1", "--quiet", "--seed", "12", "--resume",
-    ]);
+    let run = train(&dir, &out, &[&journal[..], &["--seed", "12", "--resume"]].concat());
     assert_eq!(run.status.code(), Some(1), "stale-generation resume is a runtime failure");
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert!(stderr.contains("belongs to a different run"), "{stderr}");
 
     // Without --resume the same directory is wiped and refitted cleanly.
-    let run = falcc(&[
-        "fit", "--out", path_str(&out), "--checkpoint-dir", path_str(&ck),
-        "--rows", ROWS, "--threads", "1", "--quiet", "--seed", "12",
-    ]);
+    let run = train(&dir, &out, &[&journal[..], &["--seed", "12"]].concat());
     assert_ok(&run, "fresh fit over a stale journal");
 
     std::fs::remove_dir_all(&dir).ok();

@@ -75,7 +75,7 @@ impl CrashPhase {
     pub const ALL: [Self; 4] =
         [Self::BeforeWrite, Self::AfterRecord, Self::MidManifest, Self::AfterCommit];
 
-    /// The kebab-case name used by `falcc fit --crash-at`.
+    /// The kebab-case name used by `falcc train --crash-at`.
     pub fn name(self) -> &'static str {
         match self {
             Self::BeforeWrite => "before-write",

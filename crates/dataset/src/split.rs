@@ -5,7 +5,8 @@
 //! randomstates for each algorithm"). [`ThreeWaySplit::split`] is the exact
 //! analogue: a seeded Fisher–Yates shuffle followed by contiguous slicing,
 //! so the same `(dataset, seed)` pair always yields the same split for every
-//! algorithm under comparison.
+//! algorithm under comparison. [`train_validation`] cuts the same shuffle
+//! once, for callers that keep their own test data.
 
 use crate::dataset::Dataset;
 use crate::error::DatasetError;
@@ -81,9 +82,7 @@ impl ThreeWaySplit {
         if n < 3 {
             return Err(DatasetError::Empty);
         }
-        let mut idx: Vec<usize> = (0..n).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        idx.shuffle(&mut rng);
+        let idx = shuffled(n, seed);
 
         let mut cut1 = (ratios.train * n as f64).round() as usize;
         let mut cut2 = ((ratios.train + ratios.validation) * n as f64).round() as usize;
@@ -101,6 +100,45 @@ impl ThreeWaySplit {
     /// The paper's four canonical seeds, used across every experiment so all
     /// algorithms see identical splits.
     pub const PAPER_SEEDS: [u64; 4] = [11, 23, 42, 77];
+}
+
+/// Splits `ds` into a training part of `train × n` rows (rounded, at least
+/// one, leaving at least one) and a validation part of every other row.
+///
+/// Both parts slice [`ThreeWaySplit::split`]'s shuffle at its first cut,
+/// so the training part is the one a three-way split with the same
+/// `train` fraction and seed draws (unless that split had to pull its cut
+/// back to leave a test row), and the validation part also holds the rows
+/// its test part would have taken.
+///
+/// # Errors
+/// [`DatasetError::InvalidSplit`] unless `0 < train < 1`, and
+/// [`DatasetError::Empty`] when the dataset has fewer than 2 rows.
+pub fn train_validation(
+    ds: &Dataset,
+    train: f64,
+    seed: u64,
+) -> Result<(Dataset, Dataset), DatasetError> {
+    if !(train > 0.0 && train < 1.0) {
+        return Err(DatasetError::InvalidSplit {
+            detail: format!("train fraction {train} outside (0, 1)"),
+        });
+    }
+    let n = ds.len();
+    if n < 2 {
+        return Err(DatasetError::Empty);
+    }
+    let idx = shuffled(n, seed);
+    let cut = ((train * n as f64).round() as usize).clamp(1, n - 1);
+    Ok((ds.subset(&idx[..cut])?, ds.subset(&idx[cut..])?))
+}
+
+/// The row indices `0..n` in the seeded Fisher–Yates order every split
+/// slices.
+fn shuffled(n: usize, seed: u64) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..n).collect();
+    idx.shuffle(&mut StdRng::seed_from_u64(seed));
+    idx
 }
 
 #[cfg(test)]
@@ -158,6 +196,24 @@ mod tests {
         assert_eq!(s.train.len(), 1);
         assert_eq!(s.validation.len(), 1);
         assert_eq!(s.test.len(), 1);
+    }
+
+    #[test]
+    fn train_validation_keeps_the_three_way_train_part_and_every_other_row() {
+        let ds = dataset(600);
+        let (train, validation) = train_validation(&ds, 0.6, 5).unwrap();
+        assert_eq!((train.len(), validation.len()), (360, 240));
+        let ratios = SplitRatios { train: 0.6, validation: 0.4 * 0.999, test: 0.4 * 0.001 };
+        let three = ThreeWaySplit::split(&ds, ratios, 5).unwrap();
+        assert_eq!(train.flat(), three.train.flat());
+        let rest = [three.validation.flat(), three.test.flat()].concat();
+        assert_eq!(validation.flat(), &rest[..]);
+
+        assert!(train_validation(&ds, 0.0, 5).is_err());
+        assert!(train_validation(&ds, 1.0, 5).is_err());
+        assert!(train_validation(&dataset(1), 0.5, 5).is_err());
+        let (one, other) = train_validation(&dataset(2), 0.99, 5).unwrap();
+        assert_eq!((one.len(), other.len()), (1, 1));
     }
 
     #[test]
