@@ -518,8 +518,12 @@ fn train(args: TrainArgs) -> Result<String, CliError> {
         spec
     });
 
-    let model = FalccModel::fit(&train, &validation, &config)
-        .map_err(|e| CliError::runtime(format!("fitting FALCC: {e}")))?;
+    // A crash point the run never reached is a mistyped kill point, not
+    // a failed fit: exit 2, before any output is written.
+    let model = FalccModel::fit(&train, &validation, &config).map_err(|e| match e {
+        FalccError::CrashPointUnreached { .. } => CliError::usage(format!("--crash-at: {e}")),
+        e => CliError::runtime(format!("fitting FALCC: {e}")),
+    })?;
     SavedFalccModel::capture(&model)
         .and_then(|saved| saved.save_file(&args.out))
         .map_err(|e| CliError::runtime(format!("saving model: {e}")))?;
@@ -848,6 +852,67 @@ mod tests {
         let fresh = train("fresh.json", &[]);
         let resumed = train("resumed.json", &["--resume"]);
         assert!(fresh == resumed, "resumed tuned fit must write the same snapshot");
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn crash_points_the_run_never_reaches_exit_two_without_output() {
+        let dir = std::env::temp_dir().join("falcc_cli_unreached_crash_test");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let train_csv = write_csv(&dir.join("train.csv"), 400, 1);
+        let ck = dir.join("ck");
+        let manifest = ck.join(falcc::checkpoint::MANIFEST);
+        let out = dir.join("model.json");
+        let artifact = falcc::sibling_artifact_path(&out);
+        let train = |extra: &[&str]| {
+            let base = [
+                "train", "--data", &train_csv, "--sensitive", "sex", "--clusters", "3",
+                "--out", &out.to_string_lossy(), "--checkpoint-dir", &ck.to_string_lossy(),
+                "--emit-artifact",
+            ];
+            crate::run(&v(&[&base[..], extra].concat()))
+        };
+        train(&[]).unwrap();
+        let commits = std::fs::read_to_string(&manifest).unwrap().lines().count();
+        std::fs::remove_file(&out).unwrap();
+        std::fs::remove_file(&artifact).unwrap();
+
+        // One ordinal past the last commit.
+        let err = train(&["--crash-at", &format!("{commits}:after-commit")]).unwrap_err();
+        assert_eq!(err.exit_code, 2, "{}", err.message);
+        assert_eq!(
+            err.message,
+            format!(
+                "--crash-at: crash point {commits}:after-commit never fired: this run made \
+                 {commits} checkpoint commits, ordinals 0 to {}",
+                commits - 1
+            )
+        );
+        assert!(!out.exists() && !artifact.exists(), "no output from an unreached crash point");
+
+        // A resume that starts past the ordinal: keep the journal's first
+        // five commits, then arm a point among them.
+        let kept: String = std::fs::read_to_string(&manifest)
+            .unwrap()
+            .lines()
+            .take(5)
+            .map(|line| format!("{line}\n"))
+            .collect();
+        std::fs::write(&manifest, kept).unwrap();
+        let err = train(&["--resume", "--crash-at", "2:before-write"]).unwrap_err();
+        assert_eq!(err.exit_code, 2, "{}", err.message);
+        assert_eq!(
+            err.message,
+            format!(
+                "--crash-at: crash point 2:before-write never fired: this run made {} \
+                 checkpoint commits, ordinals 5 to {} after resuming 5",
+                commits - 5,
+                commits - 1
+            )
+        );
+        assert!(!out.exists() && !artifact.exists(), "no output from an unreached crash point");
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -130,8 +130,10 @@ crash — or a hard kill injected via --crash-at <ordinal>:<phase>, phase
 one of before-write|after-record|mid-manifest|after-commit — re-running
 the same command with --resume picks up after the last valid checkpoint
 and writes a model snapshot byte-identical to an uninterrupted run, at
-any --threads value. --retry-budget (default 3) bounds the retries of a
-transient journal I/O failure. With --tune only the final fit is
+any --threads value. A --crash-at point the run never reaches (an
+ordinal past its last commit, or one that --resume skips) exits 2
+without writing the model. --retry-budget (default 3) bounds the retries
+of a transient journal I/O failure. With --tune only the final fit is
 journaled: the tuning trials run without it, and a resumed run repeats
 the deterministic search before resuming the fit.
 

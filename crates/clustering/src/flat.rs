@@ -56,8 +56,8 @@ impl CentroidMatrix {
     /// Packs centroid rows of equal length.
     ///
     /// # Panics
-    /// Panics if `centroids` is empty.
-    pub(crate) fn from_rows(centroids: &[Vec<f64>]) -> Self {
+    /// Panics if `centroids` is empty or its rows differ in length.
+    pub fn from_rows(centroids: &[Vec<f64>]) -> Self {
         assert!(!centroids.is_empty(), "cannot flatten a centroid-free model");
         let n_cols = centroids[0].len();
         let mut data = Vec::with_capacity(centroids.len() * n_cols);

@@ -368,8 +368,10 @@ pub(crate) fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
+/// The centroid nearest to `point` by squared Euclidean distance, the
+/// first one on ties, with that distance: a plain scalar scan.
 #[inline]
-fn nearest_centroid(point: &[f64], centroids: &[Vec<f64>]) -> (usize, f64) {
+pub fn nearest_centroid(point: &[f64], centroids: &[Vec<f64>]) -> (usize, f64) {
     let mut best = (0usize, f64::INFINITY);
     for (c, centroid) in centroids.iter().enumerate() {
         let d = sq_dist(point, centroid);

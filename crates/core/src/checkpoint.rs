@@ -13,11 +13,14 @@
 //! ## On-disk format
 //!
 //! * One **record file** per checkpoint, `ck_<seq>_<stage>.json`: the
-//!   stage payload wrapped in the same v3 checksummed envelope as model
+//!   stage payload wrapped in the same v4 checksummed envelope as model
 //!   snapshots (magic `falcc-checkpoint`), written atomically and durably
-//!   (tmp + fsync + rename + parent-directory fsync). A record of another
-//!   format version is discarded like any damaged record, and its stage
-//!   is recomputed.
+//!   (tmp + fsync + rename + parent-directory fsync). Payloads use the
+//!   snapshot's encodings — pool members as format-4 post-order trees —
+//!   except that the clustering record keeps the whole k-means model, per-row
+//!   assignments included, because a resumed gap fill reads them. A
+//!   record of another format version is discarded like any damaged
+//!   record, and its stage is recomputed.
 //! * An append-only **manifest**, `manifest.jsonl`: one JSON entry per
 //!   committed record carrying the record file's checksum, the checksum of
 //!   the *previous* manifest line (a hash chain), the run-config
@@ -40,7 +43,9 @@
 //! counted *virtual* backoff — deterministic, no wall clock) and
 //! [`CrashPoint`] (the process hard-aborts at an exact commit phase; the
 //! chaos harness sweeps every site and asserts resume produces
-//! byte-identical snapshots).
+//! byte-identical snapshots). A journaled fit that finishes with its crash
+//! point still armed fails with [`FalccError::CrashPointUnreached`], so a
+//! kill point outside the run's commits cannot pass for a tested one.
 
 use crate::config::FalccConfig;
 use crate::error::FalccError;
@@ -58,8 +63,9 @@ use std::path::{Path, PathBuf};
 /// snapshots so a record can never be mistaken for a model.
 const MAGIC: &str = "falcc-checkpoint";
 
-/// Checkpoint format version; shares the v3 envelope of model snapshots.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// Checkpoint format version; shares the v4 envelope and tree encoding of
+/// model snapshots.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Manifest file name inside the checkpoint directory.
 pub const MANIFEST: &str = "manifest.jsonl";
@@ -625,6 +631,25 @@ impl CheckpointJournal {
         }
     }
 
+    /// Fails when the fault plan still holds a crash point once the fit
+    /// that owns this journal has finished: every commit checks the point
+    /// and aborts on a match, so an armed point lies outside the ordinals
+    /// this run committed.
+    ///
+    /// # Errors
+    /// [`FalccError::CrashPointUnreached`] naming the point and the run's
+    /// commits.
+    pub(crate) fn check_crash_point_fired(&self) -> Result<(), FalccError> {
+        match self.faults.crash_point() {
+            Some(point) => Err(FalccError::CrashPointUnreached {
+                point,
+                resumed: self.report.resumed as u64,
+                commits: self.next_seq,
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Hard-aborts the process when the armed crash point matches —
     /// simulating `kill -9` at an exact journal state.
     fn maybe_crash(&self, ordinal: u64, phase: CrashPhase) {
@@ -888,9 +913,11 @@ mod tests {
         cfg.checkpoint = Some(spec(&dir));
         assert_eq!(fit(&cfg), reference);
 
-        // Rewrite the second half of the records as v2 envelopes (payload
-        // as an escaped string) and reseal their manifest lines and the
-        // chain, so only the record version tells them apart.
+        // Rewrite the second half of the records as v3 wrote them and
+        // reseal their manifest lines and the chain, so only the record
+        // version tells them apart. Those stages hold no tree, the one
+        // encoding v4 changed, so v3 wrote the same payload under
+        // version 3.
         let manifest = dir.join(MANIFEST);
         let text = std::fs::read_to_string(&manifest).unwrap();
         let mut entries: Vec<ManifestEntry> =
@@ -901,19 +928,16 @@ mod tests {
         for (i, entry) in entries.iter_mut().enumerate() {
             if i >= keep {
                 let path = dir.join(&entry.file);
-                let v3 = std::fs::read_to_string(&path).unwrap();
-                let (_, payload) = open_envelope(MAGIC, CHECKPOINT_VERSION, &v3).unwrap();
-                let v2 = format!(
-                    "{{\"magic\":\"{MAGIC}\",\"version\":2,\"checksum\":\"{:016x}\",\"payload\":{}}}",
-                    fnv1a64(payload.as_bytes()),
-                    serde_json::to_string(payload).unwrap()
-                );
+                let v4 = std::fs::read_to_string(&path).unwrap();
+                let (_, payload) = open_envelope(MAGIC, CHECKPOINT_VERSION, &v4).unwrap();
+                assert!(!payload.contains("{\"attr\":["), "{} holds a tree", entry.stage);
+                let v3 = seal_envelope(MAGIC, 3, payload).unwrap();
                 assert!(matches!(
-                    open_envelope(MAGIC, CHECKPOINT_VERSION, &v2),
-                    Err(EnvelopeFault::VersionSkew(2))
+                    open_envelope(MAGIC, CHECKPOINT_VERSION, &v3),
+                    Err(EnvelopeFault::VersionSkew(3))
                 ));
-                std::fs::write(&path, &v2).unwrap();
-                entry.record = format!("{:016x}", fnv1a64(v2.as_bytes()));
+                std::fs::write(&path, &v3).unwrap();
+                entry.record = format!("{:016x}", fnv1a64(v3.as_bytes()));
             }
             entry.prev = prev;
             entry.check = format!("{:016x}", entry.checksum().unwrap());

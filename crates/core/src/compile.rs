@@ -150,7 +150,7 @@ impl FalccModel {
             }
         }
         let pool = FlatPool::compile(&reachable);
-        let centroids = CentroidMatrix::from_model(self.kmeans());
+        let centroids = CentroidMatrix::from_rows(self.centroids());
         falcc_telemetry::gauges::SERVE_DEDUP_MODELS.set(pool.len() as u64);
         CompiledModel {
             meta: ServeMeta {

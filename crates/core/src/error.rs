@@ -74,6 +74,18 @@ pub enum FalccError {
         /// Fingerprint of the current run (hex).
         expected: String,
     },
+    /// A journaled fit finished with its fault plan's crash point still
+    /// armed. Had the point fired, the process would have aborted, so its
+    /// ordinal lies outside the commits this run made: past the last one,
+    /// or among those a resume skipped.
+    CrashPointUnreached {
+        /// The crash point that never fired.
+        point: crate::faults::CrashPoint,
+        /// Commits the run resumed from the journal (ordinals below this).
+        resumed: u64,
+        /// Commits in the journal when the fit finished.
+        commits: u64,
+    },
     /// The bounded retry layer exhausted its budget on transient I/O
     /// failures while journaling a checkpoint.
     RetriesExhausted {
@@ -145,6 +157,22 @@ impl fmt::Display for FalccError {
                 "checkpoint journal belongs to a different run: fingerprint {found} \
                  recorded, this run is {expected}"
             ),
+            Self::CrashPointUnreached { point, resumed, commits } => {
+                write!(
+                    f,
+                    "crash point {}:{} never fired: this run made {} checkpoint commits",
+                    point.ordinal,
+                    point.phase.name(),
+                    commits.saturating_sub(*resumed)
+                )?;
+                if commits > resumed {
+                    write!(f, ", ordinals {resumed} to {}", commits - 1)?;
+                }
+                if *resumed > 0 {
+                    write!(f, " after resuming {resumed}")?;
+                }
+                Ok(())
+            }
             Self::RetriesExhausted { op, attempts } => write!(
                 f,
                 "transient I/O failure persisted through {attempts} retries during {op}"
@@ -262,6 +290,25 @@ mod tests {
         let msg = FalccError::RetriesExhausted { op: "manifest append".into(), attempts: 3 }
             .to_string();
         assert!(msg.contains("manifest append") && msg.contains('3'), "{msg}");
+        let point = crate::faults::CrashPoint {
+            ordinal: 5,
+            phase: crate::faults::CrashPhase::AfterCommit,
+        };
+        assert_eq!(
+            FalccError::CrashPointUnreached { point, resumed: 0, commits: 19 }.to_string(),
+            "crash point 5:after-commit never fired: this run made 19 checkpoint commits, \
+             ordinals 0 to 18"
+        );
+        assert_eq!(
+            FalccError::CrashPointUnreached { point, resumed: 12, commits: 19 }.to_string(),
+            "crash point 5:after-commit never fired: this run made 7 checkpoint commits, \
+             ordinals 12 to 18 after resuming 12"
+        );
+        assert_eq!(
+            FalccError::CrashPointUnreached { point, resumed: 19, commits: 19 }.to_string(),
+            "crash point 5:after-commit never fired: this run made 0 checkpoint commits \
+             after resuming 19"
+        );
     }
 
     #[test]

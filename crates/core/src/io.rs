@@ -9,10 +9,13 @@
 //! writers.
 //!
 //! Snapshots and checkpoint records also share one JSON envelope,
-//! format 3: `{"magic":…,"version":…,"checksum":"…","payload":<JSON>}`.
-//! The payload is embedded as a JSON value and the checksum covers
-//! exactly its bytes in the file, so [`open_envelope`] verifies the
-//! payload and hands it back parsed from a single pass over the text.
+//! `{"magic":…,"version":…,"checksum":"…","payload":<JSON>}`, and one
+//! format version, 4. The payload is embedded as a JSON value and the
+//! checksum covers exactly its bytes in the file, so [`open_envelope`]
+//! verifies the payload and hands it back parsed from a single pass over
+//! the text. The envelope has not changed since format 3; format 4
+//! changed what the payloads hold (flat post-order trees, centroid-only
+//! regions; see [`crate::persist`]).
 
 use crate::error::FalccError;
 use serde::Value;

@@ -51,7 +51,9 @@ type RegionAssessment = (Option<Vec<usize>>, Vec<bool>);
 /// A fitted FALCC model: everything the online phase needs.
 ///
 /// * the trained, diverse model pool `M`;
-/// * the cluster centroids (in the proxy-mitigated projection space);
+/// * the region centroids (in the proxy-mitigated projection space) —
+///   only the centroids: the fit's per-row cluster assignments feed gap
+///   filling and the monitor baseline, and nothing reads them after;
 /// * the per-cluster best model combination `MC` (one pool index per
 ///   sensitive group);
 /// * the proxy outcome so new samples are projected identically.
@@ -59,7 +61,8 @@ type RegionAssessment = (Option<Vec<usize>>, Vec<bool>);
 pub struct FalccModel {
     pub(crate) schema: falcc_dataset::Schema,
     pub(crate) pool: ModelPool,
-    pub(crate) kmeans: KMeansModel,
+    /// `centroids[region]`, in the proxy-mitigated projection space.
+    pub(crate) centroids: Vec<Vec<f64>>,
     /// `combos[cluster][group.index()]` → pool model index.
     pub(crate) combos: Vec<Vec<usize>>,
     pub(crate) proxy: ProxyOutcome,
@@ -122,7 +125,11 @@ impl FalccModel {
                 }
             }
         };
-        Self::fit_with_pool_inner(validation, pool, config, journal.as_mut())
+        let model = Self::fit_with_pool_inner(validation, pool, config, journal.as_mut())?;
+        if let Some(journal) = &journal {
+            journal.check_crash_point_fired()?;
+        }
+        Ok(model)
     }
 
     /// Diverse pool training against a journal: per-member
@@ -517,7 +524,7 @@ impl FalccModel {
         Ok(Self {
             schema: validation.schema().clone(),
             pool,
-            kmeans,
+            centroids: kmeans.centroids,
             combos,
             proxy,
             group_index,
@@ -531,13 +538,13 @@ impl FalccModel {
 
     /// Number of local regions (clusters).
     pub fn n_regions(&self) -> usize {
-        self.kmeans.k()
+        self.centroids.len()
     }
 
     /// The cluster centroids, in the proxy-mitigated projection space
     /// (one per region, aligned with [`Self::combo`] indices).
     pub fn centroids(&self) -> &[Vec<f64>] {
-        &self.kmeans.centroids
+        &self.centroids
     }
 
     /// The trained model pool.
@@ -597,10 +604,6 @@ impl FalccModel {
     /// ready for [`falcc_telemetry::monitor::install`].
     pub fn monitor_spec(&self, window_len: u64, windows: usize) -> falcc_telemetry::MonitorSpec {
         self.baseline.spec(window_len, windows)
-    }
-
-    pub(crate) fn kmeans(&self) -> &KMeansModel {
-        &self.kmeans
     }
 
     pub(crate) fn group_index(&self) -> &falcc_dataset::GroupIndex {
@@ -860,8 +863,8 @@ mod tests {
     fn accuracy_mode_gives_each_region_its_accuracy_optimal_combination() {
         // λ = 1 with four regions: each region's combination is the
         // brute-force accuracy-optimal one over its own assessment set,
-        // rebuilt as the fit builds it (the proxy's projection, a kd-tree,
-        // gap fill over the model's k-means), near ties going to the
+        // rebuilt as the fit builds it (the proxy's projection, the same
+        // seeded k-means, a kd-tree, gap fill), near ties going to the
         // fewest distinct models. Seed 1 has two regions (1 and 3) whose
         // choice the near-tie rule decides.
         let mut near_tie_seen = false;
@@ -874,11 +877,12 @@ mod tests {
             let model = FalccModel::fit(&split.train, &split.validation, &cfg).unwrap();
             assert_eq!(model.n_regions(), 4);
             let proxy = model.proxy_outcome();
-            let tree = KdTree::build(
-                split.validation.project(&proxy.attrs, proxy.weights.as_deref()),
-            );
+            let projected = split.validation.project(&proxy.attrs, proxy.weights.as_deref());
+            let kmeans = KMeans::new(4, seed).fit(&projected);
+            assert_eq!(kmeans.centroids, model.centroids(), "seed {seed}: k-means refit differs");
+            let tree = KdTree::build(projected);
             let n_groups = split.validation.group_index().len();
-            let sets = gap_fill(model.kmeans(), &tree, &split.validation, n_groups, cfg.gap_fill_k);
+            let sets = gap_fill(&kmeans, &tree, &split.validation, n_groups, cfg.gap_fill_k);
             for (c, members) in sets.iter().enumerate().filter(|(_, m)| !m.is_empty()) {
                 let (expected, near_tie) =
                     single_region_oracle(model.pool(), &split.validation, members, &cfg.loss);

@@ -21,6 +21,7 @@ use crate::error::RowFault;
 use crate::faults::FaultSite;
 use crate::framework::FairClassifier;
 use crate::offline::FalccModel;
+use falcc_clustering::kmeans::nearest_centroid;
 use falcc_dataset::{Dataset, GroupId, GroupIndex, Schema};
 
 /// Row validation shared by the reference and the compiled serving plane —
@@ -71,7 +72,7 @@ impl FalccModel {
     /// bias on the test set with FALCC's own regions.
     pub fn assign_region(&self, row: &[f64]) -> usize {
         let projected = self.proxy_outcome().project_row(row);
-        self.kmeans().predict(&projected)
+        nearest_centroid(&projected, self.centroids()).0
     }
 
     /// The full online phase for one sample.

@@ -32,7 +32,7 @@ impl Default for RandomForestParams {
 }
 
 /// A trained random forest.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RandomForest {
     trees: Vec<DecisionTree>,
     name: String,

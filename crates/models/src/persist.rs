@@ -13,6 +13,7 @@ use crate::knn_model::KnnClassifier;
 use crate::linear::LogisticRegression;
 use crate::traits::Classifier;
 use crate::tree::DecisionTree;
+use falcc_dataset::AttrId;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -44,6 +45,19 @@ impl ModelSpec {
             Self::Bayes(m) => Arc::new(m),
             Self::Knn(m) => Arc::new(m),
         }
+    }
+
+    /// The largest attribute a split of the spec's trees reads; `None`
+    /// when the spec holds no split. A restore checks it against the row
+    /// width, which the spec itself does not record.
+    pub fn max_split_attr(&self) -> Option<AttrId> {
+        let trees: Vec<&DecisionTree> = match self {
+            Self::Tree(tree) => vec![tree],
+            Self::Boost(boost) => boost.stages().iter().map(|(tree, _)| tree).collect(),
+            Self::Forest(forest) => forest.trees().iter().collect(),
+            Self::Logistic(_) | Self::Bayes(_) | Self::Knn(_) => Vec::new(),
+        };
+        trees.into_iter().filter_map(DecisionTree::max_split_attr).max()
     }
 }
 

@@ -45,6 +45,7 @@ use falcc_dataset::{AttrId, Dataset};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::sync::LazyLock;
 
 /// Split impurity criterion.
@@ -228,14 +229,19 @@ impl Default for TreeParams {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Node {
     Leaf { proba: f64 },
     Split { attr: AttrId, threshold: f64, left: u32, right: u32 },
 }
 
 /// A trained CART decision tree.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+///
+/// Its nodes are stored in post-order: children before parents, the left
+/// subtree before the right, the root last. Both builders push nodes in
+/// that order, and the serialised form relies on it (see the `Serialize`
+/// impl below).
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
     nodes: Vec<Node>,
     name: String,
@@ -343,18 +349,98 @@ impl DecisionTree {
 
     /// Depth of the tree (diagnostics; 0 = single leaf).
     pub fn depth(&self) -> usize {
-        fn depth_of(nodes: &[Node], at: usize) -> usize {
-            match &nodes[at] {
+        // Children precede parents, so one forward pass sees both of a
+        // split's children before the split itself.
+        let mut depths: Vec<usize> = Vec::with_capacity(self.nodes.len());
+        for node in &self.nodes {
+            depths.push(match *node {
                 Node::Leaf { .. } => 0,
                 Node::Split { left, right, .. } => {
-                    1 + depth_of(nodes, *left as usize).max(depth_of(nodes, *right as usize))
+                    1 + depths[left as usize].max(depths[right as usize])
                 }
-            }
+            });
         }
-        if self.nodes.is_empty() {
-            0
-        } else {
-            depth_of(&self.nodes, self.nodes.len() - 1)
+        depths.last().copied().unwrap_or(0)
+    }
+
+    /// The largest attribute any split reads; `None` for a single leaf.
+    pub fn max_split_attr(&self) -> Option<AttrId> {
+        self.nodes
+            .iter()
+            .filter_map(|node| match *node {
+                Node::Split { attr, .. } => Some(attr),
+                Node::Leaf { .. } => None,
+            })
+            .max()
+    }
+}
+
+/// A tree serialises as `{"attr":[…],"value":[…],"name":…}` over its
+/// post-order node slab: `attr[i]` is node `i`'s split attribute, or
+/// `null` for a leaf, and `value[i]` its threshold, or the leaf's
+/// probability. The child links are not stored; deserialising rebuilds
+/// them from the order alone.
+impl Serialize for DecisionTree {
+    fn to_value(&self) -> Value<'_> {
+        let (attr, value): (Vec<_>, Vec<_>) = self
+            .nodes
+            .iter()
+            .map(|node| match node {
+                Node::Leaf { proba } => (Value::Null, proba.to_value()),
+                Node::Split { attr, threshold, .. } => (attr.to_value(), threshold.to_value()),
+            })
+            .unzip();
+        Value::Object(vec![
+            ("attr".into(), Value::Array(attr)),
+            ("value".into(), Value::Array(value)),
+            ("name".into(), self.name.to_value()),
+        ])
+    }
+}
+
+/// Replays the post-order on a stack: a leaf pushes itself, and a split
+/// pops its right subtree, then its left, and pushes itself. Any sequence
+/// that is not exactly one tree — unequal `attr` and `value` lengths, no
+/// node at all, a split without two complete subtrees before it, or more
+/// than one root left at the end — is an error.
+impl Deserialize for DecisionTree {
+    fn from_value(v: &Value<'_>) -> Result<Self, DeError> {
+        let field = |key: &str| {
+            v.get(key).ok_or_else(|| DeError::custom(format!("tree has no {key:?} field")))
+        };
+        let (Value::Array(attrs), Value::Array(values)) = (field("attr")?, field("value")?) else {
+            return Err(DeError::custom("tree \"attr\" and \"value\" must be arrays"));
+        };
+        if attrs.len() != values.len() {
+            return Err(DeError::custom(format!(
+                "tree has {} attributes for {} values",
+                attrs.len(),
+                values.len()
+            )));
+        }
+        let mut nodes = Vec::with_capacity(attrs.len());
+        let mut roots: Vec<u32> = Vec::new();
+        for (i, (attr, value)) in attrs.iter().zip(values).enumerate() {
+            let index =
+                u32::try_from(i).map_err(|_| DeError::custom("tree has over 2^32 nodes"))?;
+            let value = f64::from_value(value)?;
+            nodes.push(match Option::<AttrId>::from_value(attr)? {
+                None => Node::Leaf { proba: value },
+                Some(attr) => {
+                    let (Some(right), Some(left)) = (roots.pop(), roots.pop()) else {
+                        return Err(DeError::custom(format!(
+                            "tree split {i} lacks two subtrees before it"
+                        )));
+                    };
+                    Node::Split { attr, threshold: value, left, right }
+                }
+            });
+            roots.push(index);
+        }
+        match roots.len() {
+            1 => Ok(Self { nodes, name: String::from_value(field("name")?)? }),
+            0 => Err(DeError::custom("tree has no nodes")),
+            n => Err(DeError::custom(format!("tree nodes form {n} trees, not one"))),
         }
     }
 }
@@ -1204,5 +1290,33 @@ mod tests {
     fn empty_training_set_panics() {
         let ds = xor_dataset();
         DecisionTree::fit(&ds, &[0, 1], &[], None, &TreeParams::default(), 0);
+    }
+
+    #[test]
+    fn json_form_is_the_post_order_slab() {
+        let schema = Schema::new(vec!["x".into()], vec![], "y").unwrap();
+        let rows: Vec<Vec<f64>> = (0..10).map(|i| vec![f64::from(i)]).collect();
+        let labels: Vec<u8> = (0..10).map(|i| u8::from(i >= 5)).collect();
+        let ds = Dataset::from_rows(schema, rows, labels).unwrap();
+        let stump = DecisionTree::fit(&ds, &[0], &all_indices(&ds), None, &TreeParams::default(), 0);
+        let json = serde_json::to_string(&stump).unwrap();
+        assert_eq!(json, r#"{"attr":[null,null,0],"value":[0.0,1.0,4.5],"name":"cart[d=7,gini]"}"#);
+        assert_eq!(serde_json::from_str::<DecisionTree>(&json).unwrap(), stump);
+
+        // Two splits: the root's left subtree is itself a split, so the
+        // root's children are nodes 2 and 3, not its two predecessors.
+        let deep: DecisionTree = serde_json::from_str(
+            r#"{"attr":[null,null,1,null,0],"value":[0.1,0.2,0.5,0.9,2.0],"name":"t"}"#,
+        )
+        .unwrap();
+        assert_eq!(deep.nodes[2], Node::Split { attr: 1, threshold: 0.5, left: 0, right: 1 });
+        assert_eq!(deep.nodes[4], Node::Split { attr: 0, threshold: 2.0, left: 2, right: 3 });
+        assert_eq!((deep.depth(), deep.max_split_attr()), (2, Some(1)));
+        assert_eq!(deep.predict_proba_row(&[3.0, 0.0]), 0.9);
+        assert_eq!(deep.predict_proba_row(&[1.0, 0.7]), 0.2);
+
+        // The nested node form of earlier snapshots is not read.
+        let nested = r#"{"nodes":[{"Leaf":{"proba":0.5}}],"name":"t"}"#;
+        assert!(serde_json::from_str::<DecisionTree>(nested).is_err());
     }
 }

@@ -1,12 +1,16 @@
 //! Property-based tests over the model substrate: every trainer must
 //! accept arbitrary (finite) data without panicking and produce valid
-//! probabilities, and weighted training must degenerate correctly.
+//! probabilities, weighted training must degenerate correctly, and every
+//! tree-based model must read back from its JSON form unchanged.
 
 use falcc_dataset::{Dataset, Schema};
 use falcc_models::bayes::GaussianNb;
 use falcc_models::linear::{LogisticParams, LogisticRegression};
 use falcc_models::tree::{DecisionTree, TreeParams};
-use falcc_models::{AdaBoost, AdaBoostParams, Classifier, RandomForest, RandomForestParams};
+use falcc_models::{
+    AdaBoost, AdaBoostParams, Classifier, ModelSpec, RandomForest, RandomForestParams,
+    SplitCriterion,
+};
 use proptest::prelude::*;
 
 /// Strategy: a dataset of n ∈ [8, 60] rows with 2 features and arbitrary
@@ -27,8 +31,78 @@ fn arbitrary_dataset() -> impl Strategy<Value = Dataset> {
         })
 }
 
+/// An arbitrary dataset with optional non-negative per-row weights, zero
+/// included.
+fn weighted_dataset() -> impl Strategy<Value = (Dataset, Option<Vec<f64>>)> {
+    arbitrary_dataset().prop_flat_map(|ds| {
+        let n = ds.len();
+        (Just(ds), 0u8..=1, prop::collection::vec(0.0f64..5.0, n))
+            .prop_map(|(ds, some, w)| (ds, (some == 1).then_some(w)))
+    })
+}
+
+/// Tree parameters over depths 0–8, leaves of 1–3 rows, both criteria, and
+/// with or without feature subsampling.
+fn tree_params() -> impl Strategy<Value = TreeParams> {
+    (0usize..=8, 1usize..=3, 0u8..=1, 0usize..=2).prop_map(
+        |(max_depth, min_samples_leaf, entropy, max_features)| TreeParams {
+            max_depth,
+            min_samples_leaf,
+            criterion: if entropy == 1 { SplitCriterion::Entropy } else { SplitCriterion::Gini },
+            max_features: (max_features > 0).then_some(max_features),
+        },
+    )
+}
+
+/// `spec` written to JSON and read back.
+fn json_round_trip(spec: &ModelSpec) -> ModelSpec {
+    let json = serde_json::to_string(spec).expect("serialise");
+    serde_json::from_str(&json).unwrap_or_else(|e| panic!("{e}: {json}"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn fitted_trees_round_trip_through_json(
+        (ds, weights) in weighted_dataset(),
+        params in tree_params(),
+        seed in 0u64..1_000,
+    ) {
+        let idx: Vec<usize> = (0..ds.len()).collect();
+        let w = weights.as_deref();
+        for tree in [
+            DecisionTree::fit(&ds, &[0, 1], &idx, w, &params, seed),
+            DecisionTree::fit_naive(&ds, &[0, 1], &idx, w, &params, seed),
+        ] {
+            match json_round_trip(&ModelSpec::Tree(tree.clone())) {
+                ModelSpec::Tree(back) => prop_assert_eq!(back, tree),
+                other => prop_assert!(false, "a tree read back as {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn fitted_ensembles_round_trip_through_json(
+        (ds, weights) in weighted_dataset(),
+        tree in tree_params(),
+        rounds in 1usize..6,
+        seed in 0u64..1_000,
+    ) {
+        let idx: Vec<usize> = (0..ds.len()).collect();
+        let boost_params = AdaBoostParams { n_estimators: rounds, tree };
+        let boost = AdaBoost::fit(&ds, &[0, 1], &idx, weights.as_deref(), &boost_params, seed);
+        match json_round_trip(&ModelSpec::Boost(boost.clone())) {
+            ModelSpec::Boost(back) => prop_assert_eq!(back, boost),
+            other => prop_assert!(false, "AdaBoost read back as {other:?}"),
+        }
+        let forest_params = RandomForestParams { n_estimators: rounds, tree, ..Default::default() };
+        let forest = RandomForest::fit(&ds, &[0, 1], &idx, &forest_params, seed);
+        match json_round_trip(&ModelSpec::Forest(forest.clone())) {
+            ModelSpec::Forest(back) => prop_assert_eq!(back, forest),
+            other => prop_assert!(false, "a forest read back as {other:?}"),
+        }
+    }
 
     #[test]
     fn tree_probabilities_are_valid(ds in arbitrary_dataset(), depth in 0usize..6) {

@@ -10,7 +10,8 @@
 //!
 //! Two ignored tests hold bounds that only mean something in a release
 //! build at benchmark scale (Adult (sex) at scale 0.10, seed 11); run them
-//! with `cargo test --release --test efficiency -- --ignored`.
+//! with `cargo test --release --test efficiency -- --ignored`. Both fail
+//! at this commit, each for the reason its `ignore` attribute gives.
 
 use falcc::{
     CheckpointSpec, ClusterSpec, CompiledModel, FairClassifier, FalccConfig, FalccModel,
@@ -117,9 +118,10 @@ fn adult_sex_at_benchmark_scale() -> ThreeWaySplit {
 }
 
 /// The binary artifact must load at least this many times faster than
-/// JSON restore+compile. It skips serde entirely, so the real margin is
-/// larger; the bound catches a load path that has degenerated back into
-/// per-field parsing.
+/// JSON restore+compile. The bound catches a load path that has
+/// degenerated back into per-field parsing. It was set against snapshot
+/// format 3; format 4's leaner JSON path leaves the artifact about 4×
+/// ahead, so the test below fails.
 const COLD_START_MIN_SPEEDUP: f64 = 10.0;
 
 /// Minimum per-call milliseconds of `a` and of `b` over `samples`
@@ -153,7 +155,9 @@ fn alternated_minima(samples: usize, mut a: impl FnMut(), mut b: impl FnMut()) -
 /// call. The model is ensemble-heavy: the whole AdaBoost grid
 /// (`pool_size` 0) with k = 8.
 #[test]
-#[ignore = "release-build timing gate at scale 0.10; run with --release -- --ignored"]
+#[ignore = "fails at this commit: snapshot format 4 made JSON restore+compile about 3x \
+            faster while the artifact load did not change, so the artifact is about 4x ahead, \
+            not 10x; run with --release -- --ignored"]
 fn artifact_cold_start_beats_json_restore_and_compile() {
     let _turn = TIMING.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let split = adult_sex_at_benchmark_scale();
